@@ -33,11 +33,12 @@ use qcut_core::allocation::{
     pilot_schedule, pilot_total, refine_schedule, schedule_for_plan, ShotAllocation, ShotSchedule,
 };
 use qcut_core::basis::BasisPlan;
-use qcut_core::execution::gather_scheduled;
+use qcut_core::execution::gather;
 use qcut_core::fragment::{Fragmenter, Fragments};
 use qcut_core::golden::GoldenPolicy;
 use qcut_core::pipeline::{CutExecutor, ExecutionOptions};
 use qcut_core::reconstruction::{exact_downstream_tensor, exact_upstream_tensor};
+use qcut_core::retry::RetryPolicy;
 use qcut_core::tomography::ExperimentPlan;
 use qcut_core::variance::{neyman_scores, variance_from_schedule};
 use qcut_device::ideal::IdealBackend;
@@ -113,7 +114,8 @@ fn adaptive_schedule(frags: &Fragments, plan: &BasisPlan, total: u64) -> ShotSch
     )
     .expect("pilot covers the plan");
     let backend = IdealBackend::new(29);
-    let data = gather_scheduled(&backend, &experiment, &pilot_sched, true).expect("pilot gather");
+    let data =
+        gather(&backend, &experiment, &pilot_sched, &RetryPolicy::default()).expect("pilot gather");
     let up = qcut_core::reconstruction::upstream_tensor(&frags.upstream, plan, &data);
     let down = qcut_core::reconstruction::downstream_tensor(&frags.downstream, plan, &data);
     let scores = neyman_scores(frags, plan, &up, &down);

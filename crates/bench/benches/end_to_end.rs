@@ -1,5 +1,8 @@
 //! End-to-end pipeline benchmark: the Fig. 4 comparison as a criterion
 //! measurement (gather + reconstruct, golden vs standard vs uncut).
+//!
+//! For the per-subcircuit simulation ablation (no shared prefixes),
+//! construct the backend with `IdealBackend::with_prefix_sharing(false)`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcut_circuit::ansatz::GoldenAnsatz;
@@ -17,7 +20,6 @@ fn bench_pipeline(c: &mut Criterion) {
         let executor = CutExecutor::new(&backend);
         let options = ExecutionOptions {
             shots_per_setting: 1000,
-            parallel: false,
             ..Default::default()
         };
 
@@ -47,29 +49,5 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_vs_sequential_gather(c: &mut Criterion) {
-    // The paper's §II-A parallelism claim: fragments run independently.
-    let mut group = c.benchmark_group("fragment_parallelism");
-    group.sample_size(20);
-    let (circuit, cut) = GoldenAnsatz::new(7, 5).build();
-    let backend = IdealBackend::new(13);
-    let executor = CutExecutor::new(&backend);
-    for (label, parallel) in [("sequential", false), ("parallel", true)] {
-        let options = ExecutionOptions {
-            shots_per_setting: 4000,
-            parallel,
-            ..Default::default()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                executor
-                    .run(&circuit, &cut, GoldenPolicy::Disabled, &options)
-                    .unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_pipeline, bench_parallel_vs_sequential_gather);
+criterion_group!(benches, bench_pipeline);
 criterion_main!(benches);

@@ -13,6 +13,7 @@ use qcut_circuit::circuit::Circuit;
 use qcut_core::basis::BasisPlan;
 use qcut_core::fragment::Fragmenter;
 use qcut_core::jobgraph::{Channel, JobGraph};
+use qcut_core::retry::RetryPolicy;
 use qcut_core::tomography::build_upstream_circuit;
 use qcut_device::ideal::IdealBackend;
 
@@ -50,7 +51,7 @@ fn bench_dedup_vs_not(c: &mut Criterion) {
                         graph.add_job(circuit.clone(), (Channel::UpstreamMeas, *key), 1000);
                     }
                     let backend = IdealBackend::new(3);
-                    graph.execute(&backend, true).unwrap()
+                    graph.execute(&backend, &RetryPolicy::default()).unwrap()
                 })
             });
         }

@@ -17,6 +17,7 @@ use qcut_circuit::circuit::Circuit;
 use qcut_circuit::random::{random_circuit, RandomCircuitConfig};
 use qcut_core::basis::{encode_meas, BasisPlan};
 use qcut_core::jobgraph::{Channel, JobGraph};
+use qcut_core::retry::RetryPolicy;
 use qcut_device::ideal::IdealBackend;
 use qcut_sim::basis_change::append_basis_rotation;
 use std::time::Instant;
@@ -57,7 +58,7 @@ fn run_gather(jobs: &[(Circuit, u64)], sharing: bool) -> u64 {
         graph.add_job(circuit.clone(), (Channel::UpstreamMeas, *key), SHOTS);
     }
     let backend = IdealBackend::new(3).with_prefix_sharing(sharing);
-    let run = graph.execute(&backend, true).unwrap();
+    let run = graph.execute(&backend, &RetryPolicy::default()).unwrap();
     run.stats.shots_executed
 }
 

@@ -10,6 +10,7 @@ use qcut_core::fragment::{Fragmenter, Fragments};
 use qcut_core::reconstruction::{
     contract, downstream_tensor, exact_downstream_tensor, exact_upstream_tensor, upstream_tensor,
 };
+use qcut_core::retry::RetryPolicy;
 use qcut_core::tomography::ExperimentPlan;
 use qcut_device::ideal::IdealBackend;
 use qcut_math::Pauli;
@@ -24,7 +25,13 @@ fn setup(width: usize, golden: bool) -> (Fragments, BasisPlan, FragmentData) {
     };
     let experiment = ExperimentPlan::build(&frags, &plan);
     let backend = IdealBackend::new(1);
-    let data = gather(&backend, &experiment, 1000, true).unwrap();
+    let data = gather(
+        &backend,
+        &experiment,
+        &experiment.uniform_schedule(1000),
+        &RetryPolicy::default(),
+    )
+    .unwrap();
     (frags, plan, data)
 }
 

@@ -27,7 +27,6 @@ fn bench_pipeline_method(c: &mut Criterion) {
         let options = ExecutionOptions {
             shots_per_setting: 1000,
             method,
-            parallel: false,
             ..Default::default()
         };
         group.bench_function(label, |b| {

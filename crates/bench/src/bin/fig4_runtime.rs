@@ -13,6 +13,10 @@
 //! cargo run -p qcut-bench --release --bin fig4_runtime
 //! cargo run -p qcut-bench --release --bin fig4_runtime -- --trials 200 --width 7
 //! ```
+//!
+//! Every arm runs through the engine's batched submission. For the
+//! per-subcircuit simulation ablation (no shared prefixes), construct the
+//! backend with `IdealBackend::with_prefix_sharing(false)`.
 
 use qcut_bench::{rule, summarize, Args};
 use qcut_circuit::ansatz::GoldenAnsatz;
@@ -22,18 +26,14 @@ use qcut_device::ideal::IdealBackend;
 use qcut_math::Pauli;
 
 fn main() {
-    let args = Args::parse(&["trials", "shots", "width", "seed", "parallel"]);
+    let args = Args::parse(&["trials", "shots", "width", "seed"]);
     let trials = args.get_u64("trials", 1000);
     let shots = args.get_u64("shots", 1000);
     let width = args.get_u64("width", 5) as usize;
     let base_seed = args.get_u64("seed", 1);
-    let parallel = args.get_bool("parallel", false); // paper: sequential device
 
     println!("Figure 4 — simulator runtime with vs without golden cutting point");
-    println!(
-        "width = {width}, trials = {trials}, shots per (sub)circuit = {shots}, \
-         parallel fragment execution = {parallel}"
-    );
+    println!("width = {width}, trials = {trials}, shots per (sub)circuit = {shots}");
     rule(78);
 
     let mut standard_secs = Vec::with_capacity(trials as usize);
@@ -46,7 +46,6 @@ fn main() {
         let executor = CutExecutor::new(&backend);
         let options = ExecutionOptions {
             shots_per_setting: shots,
-            parallel,
             ..Default::default()
         };
 

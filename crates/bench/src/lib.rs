@@ -68,17 +68,6 @@ impl Args {
             })
             .unwrap_or(default)
     }
-
-    /// Boolean flag (`true`/`false`) with default.
-    pub fn get_bool(&self, key: &str, default: bool) -> bool {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} must be true/false"))
-            })
-            .unwrap_or(default)
-    }
 }
 
 /// Formats a confidence interval the way the figures label bars.
@@ -106,10 +95,21 @@ pub fn rule(width: usize) {
 /// binaries with the *package* directory as cwd, so a bare relative write
 /// would land in `crates/bench/` — CI's schema checks (and the README's
 /// "written to the repo root" contract) expect the workspace root.
+///
+/// The package directory is read from `CARGO_MANIFEST_DIR` at run time
+/// (cargo sets it for `bench`, `run` and `test`), so a binary built in a
+/// shared target directory writes into the tree it runs from, not the one
+/// that compiled it. Without the variable the artifact goes to the current
+/// directory.
 pub fn artifact_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(name)
+    artifact_path_in(std::env::var_os("CARGO_MANIFEST_DIR"), name)
+}
+
+fn artifact_path_in(manifest_dir: Option<std::ffi::OsString>, name: &str) -> std::path::PathBuf {
+    match manifest_dir {
+        Some(dir) => std::path::Path::new(&dir).join("../..").join(name),
+        None => std::path::PathBuf::from(name),
+    }
 }
 
 #[cfg(test)]
@@ -123,5 +123,25 @@ mod tests {
         let (ci, s1) = summarize(&[5.0]);
         assert!(ci.half_width.is_infinite());
         assert!(s1.contains("inf"));
+    }
+
+    #[test]
+    fn artifact_path_follows_the_runtime_manifest_dir() {
+        let dir = std::ffi::OsString::from("/some/checkout/crates/bench");
+        assert_eq!(
+            artifact_path_in(Some(dir), "BENCH_x.json"),
+            std::path::Path::new("/some/checkout/crates/bench/../../BENCH_x.json")
+        );
+        assert_eq!(
+            artifact_path_in(None, "BENCH_x.json"),
+            std::path::Path::new("BENCH_x.json")
+        );
+        // Under cargo the variable is set, and names this package.
+        let here = artifact_path("BENCH_x.json");
+        assert!(
+            here.starts_with(env!("CARGO_MANIFEST_DIR")),
+            "{}",
+            here.display()
+        );
     }
 }

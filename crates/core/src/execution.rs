@@ -5,6 +5,7 @@
 //! [`crate::jobgraph::JobGraph`] and executed as one batched, deduplicated
 //! backend submission.
 
+use crate::allocation::ShotSchedule;
 use crate::basis::{encode_meas, encode_prep};
 use crate::jobgraph::{Channel, GraphFailure, JobGraph};
 use crate::retry::RetryPolicy;
@@ -125,46 +126,19 @@ impl FragmentData {
     }
 }
 
-/// Executes every variant of `plan` for `shots_per_setting` shots each.
+/// Executes every variant of `plan` under `schedule` (per-setting shot
+/// counts; [`ShotSchedule::uniform`] is the paper's protocol, see
+/// [`crate::allocation`] for the other budget policies) as one batched,
+/// deduplicated engine submission.
 ///
-/// `parallel` selects rayon fan-out vs sequential execution (the paper's
-/// device runs are sequential on a single QPU; classical simulation can
-/// fan out).
+/// Transient backend faults and deterministic per-job timeouts are retried
+/// inside the engine under `retry` (only failed nodes re-submitted), and
+/// what still fails permanently is returned as a [`GraphFailure`] carrying
+/// the salvaged surviving data.
 pub fn gather<B: Backend + ?Sized>(
     backend: &B,
     plan: &ExperimentPlan,
-    shots_per_setting: u64,
-    parallel: bool,
-) -> Result<FragmentData, Box<GraphFailure>> {
-    let schedule = crate::allocation::ShotSchedule::uniform(
-        plan.upstream.len(),
-        plan.downstream.len(),
-        shots_per_setting,
-    );
-    gather_scheduled(backend, plan, &schedule, parallel)
-}
-
-/// Like [`gather`] but with explicit per-setting shot counts (see
-/// [`crate::allocation`] for budget policies).
-pub fn gather_scheduled<B: Backend + ?Sized>(
-    backend: &B,
-    plan: &ExperimentPlan,
-    schedule: &crate::allocation::ShotSchedule,
-    parallel: bool,
-) -> Result<FragmentData, Box<GraphFailure>> {
-    gather_scheduled_with(backend, plan, schedule, parallel, &RetryPolicy::default())
-}
-
-/// Like [`gather_scheduled`] but honoring a [`RetryPolicy`]: transient
-/// backend faults and deterministic per-job timeouts are retried inside
-/// the engine (only failed nodes re-submitted), and what still fails
-/// permanently is returned as a [`GraphFailure`] carrying the salvaged
-/// surviving data.
-pub fn gather_scheduled_with<B: Backend + ?Sized>(
-    backend: &B,
-    plan: &ExperimentPlan,
-    schedule: &crate::allocation::ShotSchedule,
-    parallel: bool,
+    schedule: &ShotSchedule,
     retry: &RetryPolicy,
 ) -> Result<FragmentData, Box<GraphFailure>> {
     assert_eq!(
@@ -193,7 +167,7 @@ pub fn gather_scheduled_with<B: Backend + ?Sized>(
         );
     }
 
-    let mut run = graph.execute_with(backend, parallel, retry)?;
+    let mut run = graph.execute(backend, retry)?;
     let upstream = run.take_channel(Channel::UpstreamMeas);
     let downstream = run.take_channel(Channel::DownstreamPrep);
     Ok(FragmentData::from_counts(
@@ -209,6 +183,7 @@ mod tests {
     use super::*;
     use crate::basis::BasisPlan;
     use crate::fragment::Fragmenter;
+    use crate::sequential::Sequential;
     use qcut_circuit::ansatz::GoldenAnsatz;
     use qcut_device::ideal::IdealBackend;
     use qcut_math::Pauli;
@@ -228,7 +203,13 @@ mod tests {
     fn gather_fills_every_setting() {
         let backend = IdealBackend::new(3);
         let plan = plan_for(0, false);
-        let data = gather(&backend, &plan, 500, true).unwrap();
+        let data = gather(
+            &backend,
+            &plan,
+            &plan.uniform_schedule(500),
+            &RetryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(data.upstream.len(), 3);
         assert_eq!(data.downstream.len(), 6);
         assert_eq!(data.subcircuits, 9);
@@ -242,7 +223,13 @@ mod tests {
     fn golden_gather_skips_y_settings() {
         let backend = IdealBackend::new(3);
         let plan = plan_for(0, true);
-        let data = gather(&backend, &plan, 500, true).unwrap();
+        let data = gather(
+            &backend,
+            &plan,
+            &plan.uniform_schedule(500),
+            &RetryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(data.subcircuits, 6);
         assert_eq!(data.total_shots, 3000);
     }
@@ -254,11 +241,11 @@ mod tests {
         // field silently averaged).
         let backend = IdealBackend::new(5);
         let plan = plan_for(2, false);
-        let schedule = crate::allocation::ShotSchedule {
+        let schedule = ShotSchedule {
             upstream: vec![100, 200, 300],
             downstream: vec![50, 60, 70, 80, 90, 100],
         };
-        let data = gather_scheduled(&backend, &plan, &schedule, true).unwrap();
+        let data = gather(&backend, &plan, &schedule, &RetryPolicy::default()).unwrap();
         assert_eq!(data.total_shots, schedule.total());
         for (i, v) in plan.upstream.iter().enumerate() {
             let key = encode_meas(&v.setting);
@@ -274,12 +261,12 @@ mod tests {
     #[test]
     fn sequential_and_parallel_produce_same_shape() {
         let plan = plan_for(1, false);
-        let b1 = IdealBackend::new(9);
-        let b2 = IdealBackend::new(9);
-        let par = gather(&b1, &plan, 100, true).unwrap();
-        let seq = gather(&b2, &plan, 100, false).unwrap();
-        assert_eq!(par.upstream.len(), seq.upstream.len());
-        assert_eq!(par.downstream.len(), seq.downstream.len());
+        let schedule = plan.uniform_schedule(100);
+        let once = RetryPolicy::default();
+        let par = gather(&IdealBackend::new(9), &plan, &schedule, &once).unwrap();
+        let seq = gather(&Sequential(IdealBackend::new(9)), &plan, &schedule, &once).unwrap();
+        assert_eq!(par.upstream, seq.upstream);
+        assert_eq!(par.downstream, seq.downstream);
         assert_eq!(par.total_shots, seq.total_shots);
     }
 
@@ -288,7 +275,13 @@ mod tests {
         use qcut_device::backend::BackendError;
         let backend = IdealBackend::new(0).with_capacity(2);
         let plan = plan_for(0, false); // 3-qubit fragments
-        let err = gather(&backend, &plan, 10, true).unwrap_err();
+        let err = gather(
+            &backend,
+            &plan,
+            &plan.uniform_schedule(10),
+            &RetryPolicy::default(),
+        )
+        .unwrap_err();
         assert!(!err.failures.is_empty());
         assert!(matches!(
             err.first_error(),
@@ -302,8 +295,20 @@ mod tests {
     fn merge_accumulates_budgets() {
         let backend = IdealBackend::new(3);
         let plan = plan_for(0, false);
-        let mut a = gather(&backend, &plan, 200, true).unwrap();
-        let b = gather(&backend, &plan, 300, true).unwrap();
+        let mut a = gather(
+            &backend,
+            &plan,
+            &plan.uniform_schedule(200),
+            &RetryPolicy::default(),
+        )
+        .unwrap();
+        let b = gather(
+            &backend,
+            &plan,
+            &plan.uniform_schedule(300),
+            &RetryPolicy::default(),
+        )
+        .unwrap();
         a.merge(&b);
         assert_eq!(a.total_shots, 4500);
         for c in a.upstream.values() {

@@ -10,25 +10,30 @@
 //! structurally identical subcircuits — across tomography settings, across
 //! pipeline stages (online detection feeding the main gather), or across
 //! reconstruction terms — become a single node. Execution is then one
-//! batched [`Backend::run_batch`] submission, and each node's counts are
-//! fanned back out to every consumer that asked for them.
+//! batched [`Backend::run_batch_stats`] submission per pool member (a bare
+//! backend is a pool of one), and each node's counts are fanned back out
+//! to every consumer that asked for them.
 //!
 //! ```text
 //! add_job(c, consumer, shots)  ──┐
 //! add_job(c', consumer', shots) ─┼─▶ nodes (unique circuits, hash-keyed)
 //! seed_counts(c, counts)  ───────┘        │
-//!                                         ▼ execute(backend, parallel)
-//!                     one run_batch over `max(shots) − cached` per node
+//!                                         ▼ execute(backend, &retry)
+//!        per round: one run_batch_stats per member over `max(shots) − cached`
+//!        per node, then failover of transient faults to a sibling member
 //!                                         │
 //!                                         ▼ fan-out
 //!                    GraphRun: counts per consumer + dedup accounting
 //! ```
 //!
-//! Determinism contract: nodes execute in insertion order, so on a
-//! seed-deterministic backend a parallel `execute` is bit-identical to a
-//! sequential one, and (absent duplicates) to the pre-engine per-job
-//! submission order. The equivalence tests in `tests/integration_jobgraph.rs`
-//! pin this down.
+//! Determinism contract: each member batch holds its nodes in insertion
+//! order, and the workspace backends draw per-job RNG streams by batch
+//! position, so on a seed-deterministic backend a batched `execute` is
+//! bit-identical to running the same nodes one by one through
+//! [`Backend::run`] and (absent duplicates) to the pre-engine per-job
+//! submission order. The equivalence tests in
+//! `tests/integration_jobgraph.rs` pin this down against a sequential
+//! reference backend.
 //!
 //! # Example
 //!
@@ -38,6 +43,7 @@
 //! ```
 //! use qcut_circuit::circuit::Circuit;
 //! use qcut_core::jobgraph::{Channel, JobGraph};
+//! use qcut_core::retry::RetryPolicy;
 //! use qcut_device::ideal::IdealBackend;
 //!
 //! let mut bell = Circuit::new(2);
@@ -46,7 +52,7 @@
 //! graph.add_job(bell.clone(), (Channel::UpstreamMeas, 0), 500);
 //! graph.add_job(bell, (Channel::UpstreamMeas, 1), 800); // dedups
 //!
-//! let run = graph.execute(&IdealBackend::new(1), true).unwrap();
+//! let run = graph.execute(&IdealBackend::new(1), &RetryPolicy::default()).unwrap();
 //! assert_eq!(run.stats.jobs_planned, 2);
 //! assert_eq!(run.stats.jobs_executed, 1);   // one node serves both
 //! assert_eq!(run.stats.shots_executed, 800); // max budget, executed once
@@ -57,8 +63,8 @@
 
 use crate::retry::RetryPolicy;
 use qcut_circuit::circuit::Circuit;
-use qcut_device::backend::{Backend, BackendError, BatchStats, JobSpec};
-use qcut_device::pool::BackendPool;
+use qcut_device::backend::{Backend, BackendError, BatchRun, JobSpec};
+use qcut_device::pool::{BackendPool, Placement};
 use qcut_sim::counts::Counts;
 use qcut_sim::prefix::{PrefixForest, PrefixProfile};
 use serde::{Deserialize, Serialize};
@@ -246,6 +252,66 @@ impl GraphStats {
         for (a, b) in self.member_makespan.iter_mut().zip(&other.member_makespan) {
             *a += *b;
         }
+    }
+}
+
+/// What one delivery attempt of a node came to.
+enum Attempt {
+    Delivered(Counts),
+    /// A transient fault, or a result that arrived after the per-job
+    /// deadline: worth another submission.
+    Retryable(BackendError),
+    Failed(BackendError),
+}
+
+impl GraphStats {
+    /// Accrues one member batch's accounting and classifies each job's
+    /// outcome. `batch` holds `(node, shots)` in submission order; member
+    /// accounting is skipped when the vectors are empty (bare runs).
+    fn settle(
+        &mut self,
+        member: usize,
+        batch: &[(usize, u64)],
+        run: BatchRun,
+        retry: &RetryPolicy,
+    ) -> Vec<Attempt> {
+        self.gates_applied += run.stats.gates_applied;
+        self.gates_saved += run.stats.gates_saved();
+        self.states_reused += run.stats.states_reused;
+        batch
+            .iter()
+            .zip(run.results)
+            .map(|(&(_, shots), result)| match result {
+                Ok(r) => {
+                    self.simulated_device_time += r.simulated_duration;
+                    self.host_time += r.host_duration;
+                    if let Some(makespan) = self.member_makespan.get_mut(member) {
+                        *makespan += r.simulated_duration;
+                    }
+                    match retry.per_job_timeout {
+                        // The deadline passed before the data arrived:
+                        // device time spent, counts lost.
+                        Some(deadline) if r.simulated_duration > deadline => {
+                            Attempt::Retryable(BackendError::Timeout {
+                                elapsed: r.simulated_duration,
+                            })
+                        }
+                        _ => {
+                            self.shots_executed += shots;
+                            if let Some(jobs) = self.jobs_per_member.get_mut(member) {
+                                *jobs += 1;
+                            }
+                            if let Some(delivered) = self.shots_per_member.get_mut(member) {
+                                *delivered += shots;
+                            }
+                            Attempt::Delivered(r.counts)
+                        }
+                    }
+                }
+                Err(e) if e.is_transient() => Attempt::Retryable(e),
+                Err(e) => Attempt::Failed(e),
+            })
+            .collect()
     }
 }
 
@@ -549,208 +615,84 @@ impl JobGraph {
         }
     }
 
-    /// Executes the graph as one batched backend submission and fans the
-    /// results out to every consumer.
-    ///
-    /// Per node, the backend runs `max(consumer shots) − cached shots`
-    /// (clamped at zero — fully cached nodes cost nothing), and every
-    /// consumer receives the node's full merged histogram. `parallel`
-    /// selects the backend's native batched dispatch vs a sequential loop;
-    /// on the workspace backends both produce bit-identical counts.
-    ///
-    /// Runs under the default [`RetryPolicy`] (one attempt, no deadline).
-    /// On permanent node failure the error is a [`GraphFailure`] naming
-    /// the failed nodes *and* carrying the salvage — the counts of every
-    /// sibling that succeeded — instead of discarding them.
-    pub fn execute<B: Backend + ?Sized>(
-        &self,
-        backend: &B,
-        parallel: bool,
-    ) -> Result<GraphRun, Box<GraphFailure>> {
-        self.execute_with(backend, parallel, &RetryPolicy::default())
-    }
-
-    /// [`Self::execute`] under an explicit [`RetryPolicy`].
-    ///
-    /// Each attempt submits only the still-pending nodes as one batch:
-    /// successful siblings are salvaged immediately and never re-run, and
-    /// counts already seeded into a node keep offsetting its retry, so no
-    /// delivered shot is ever re-bought. A job whose result arrives with
-    /// `simulated_duration` over `per_job_timeout` counts as a
-    /// [`BackendError::Timeout`] — its device time is accrued as waste,
-    /// its counts are discarded, and it retries like any transient fault.
-    /// Backoff between attempts is deterministic accounting
-    /// ([`GraphStats::backoff_wait`]), never an actual sleep. With the
-    /// default policy this is structurally the single-submission engine
-    /// of previous revisions — the fault-free path is bit-identical.
-    pub fn execute_with<B: Backend + ?Sized>(
-        &self,
-        backend: &B,
-        parallel: bool,
-        retry: &RetryPolicy,
-    ) -> Result<GraphRun, Box<GraphFailure>> {
-        if let Some(pool) = backend.as_pool() {
-            // Pool-aware path: per-member sharding, per-member accounting,
-            // and same-round sibling failover. The `parallel` flag is
-            // moot here — each member batch is one native submission.
-            return self.execute_pool(pool, retry);
-        }
-        let mut pending: Vec<(usize, u64)> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let missing = node.required_shots().saturating_sub(node.cached_shots());
-            if missing > 0 {
-                pending.push((i, missing));
-            }
-        }
-
-        let mut stats = GraphStats {
-            jobs_planned: self.jobs_planned,
-            jobs_executed: pending.len(),
-            shots_requested: self
-                .nodes
-                .iter()
-                .flat_map(|n| n.consumers.iter().map(|&(_, s)| s))
-                .sum(),
-            ..GraphStats::default()
-        };
-        let mut delivered: HashMap<usize, Counts> = HashMap::with_capacity(pending.len());
-        let mut permanent: Vec<NodeFailure> = Vec::new();
-
-        let max_attempts = retry.max_attempts.max(1);
-        for attempt in 1..=max_attempts {
-            if pending.is_empty() {
-                break;
-            }
-            if attempt > 1 {
-                stats.jobs_retried += pending.len() as u64;
-                stats.backoff_wait += retry.backoff.delay(attempt - 1);
-            }
-            stats.attempts += pending.len() as u64;
-            let specs: Vec<JobSpec<'_>> = pending
-                .iter()
-                .map(|&(i, shots)| JobSpec::new(&self.nodes[i].circuit, shots))
-                .collect();
-            let (results, batch_stats) = if parallel {
-                let run = backend.run_batch_stats(&specs);
-                (run.results, run.stats)
-            } else {
-                let results: Vec<_> = specs
-                    .iter()
-                    .map(|j| backend.run(j.circuit, j.shots))
-                    .collect();
-                let batch_stats = BatchStats::unshared(&specs, &results);
-                (results, batch_stats)
-            };
-            stats.gates_applied += batch_stats.gates_applied;
-            stats.gates_saved += batch_stats.gates_saved();
-            stats.states_reused += batch_stats.states_reused;
-
-            let last_round = attempt == max_attempts;
-            let mut still_pending: Vec<(usize, u64)> = Vec::new();
-            for (&(i, shots), result) in pending.iter().zip(results) {
-                match result {
-                    Ok(r) => {
-                        stats.simulated_device_time += r.simulated_duration;
-                        stats.host_time += r.host_duration;
-                        match retry.per_job_timeout {
-                            Some(deadline) if r.simulated_duration > deadline => {
-                                // The deadline passed before the data
-                                // arrived: device time spent, counts lost.
-                                if last_round {
-                                    permanent.push(self.node_failure(
-                                        i,
-                                        BackendError::Timeout {
-                                            elapsed: r.simulated_duration,
-                                        },
-                                        attempt,
-                                    ));
-                                } else {
-                                    still_pending.push((i, shots));
-                                }
-                            }
-                            _ => {
-                                stats.shots_executed += shots;
-                                delivered.insert(i, r.counts);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        if e.is_transient() && !last_round {
-                            still_pending.push((i, shots));
-                        } else {
-                            permanent.push(self.node_failure(i, e, attempt));
-                        }
-                    }
-                }
-            }
-            pending = still_pending;
-        }
-        self.finalize(stats, &delivered, permanent)
-    }
-
-    /// Pool-aware execution: shards the still-pending nodes across the
-    /// members of `pool` under its
-    /// [`PlacementPolicy`](qcut_device::pool::PlacementPolicy), executes
-    /// one batch per member per retry round
-    /// (nodes in graph insertion order within each member — so on
-    /// seed-deterministic members a single-member pool is bit-identical to
-    /// the bare backend), and merges the fan-out into one [`GraphRun`]
-    /// with per-member accounting.
-    ///
-    /// Differences from the single-backend path:
-    ///
-    /// * **Placement** is computed once, over *all* nodes at their full
-    ///   required budgets — deliberately independent of cache seeding, so
-    ///   the pipeline's per-member warm-cache keying (which places before
-    ///   seeding) sees the identical assignment.
-    /// * **Infeasible nodes** — ones no member's capacity fits — fail
-    ///   before anything is submitted ([`NodeFailure::attempts`] is 0) and
-    ///   are carried as salvageable [`GraphFailure`] entries like any
-    ///   other permanent failure.
-    /// * **Failover**: a node whose assigned member raises a transient
-    ///   fault (or trips the per-job timeout) is re-submitted *within the
-    ///   same retry round* to the next feasible sibling before the round
-    ///   counts as lost; only if the sibling also fails does the node wait
-    ///   for the next [`RetryPolicy`] round (back on its assigned member).
-    ///   Each failover submission counts toward [`GraphStats::attempts`];
-    ///   deliveries by a sibling count toward
-    ///   [`GraphStats::jobs_failed_over`] and the *sibling's* member
-    ///   accounting.
-    pub fn execute_pool(
-        &self,
-        pool: &BackendPool,
-        retry: &RetryPolicy,
-    ) -> Result<GraphRun, Box<GraphFailure>> {
-        let members = pool.len();
-        let placement_specs: Vec<JobSpec<'_>> = self
+    /// Places every node on a member of `pool`: each node at its maximum
+    /// consumer demand, in insertion order. The engine shards by this
+    /// placement, and the pipeline keys per-member warm-cache entries by
+    /// it. Seeded counts are deliberately ignored, so a placement taken
+    /// before cache seeding matches the one taken at execute time.
+    pub fn placement(&self, pool: &BackendPool) -> Placement {
+        let specs: Vec<JobSpec<'_>> = self
             .nodes
             .iter()
             .map(|n| JobSpec::new(&n.circuit, n.required_shots()))
             .collect();
-        let placement = pool.place(&placement_specs);
+        pool.place(&specs)
+    }
+
+    /// Executes the graph under `retry` and fans the results out to every
+    /// consumer.
+    ///
+    /// Per node the backend runs `max(consumer shots) − cached shots`
+    /// (clamped at zero — fully cached nodes cost nothing), and every
+    /// consumer receives the node's full merged histogram.
+    ///
+    /// A [`BackendPool`] shards the nodes across its members by
+    /// [`Self::placement`]; a bare backend is a pool of one, with every
+    /// node on member 0, no failover sibling and no per-member accounting.
+    /// Each retry round has two phases:
+    ///
+    /// * **Primary**: one `run_batch_stats` submission per member, in
+    ///   member order, each holding that member's pending nodes in graph
+    ///   order — so on seed-deterministic members a single-member pool is
+    ///   bit-identical to the bare backend.
+    /// * **Failover**: a node whose member raised a transient fault (or
+    ///   whose result arrived after [`RetryPolicy::per_job_timeout`]) goes
+    ///   once to the next feasible sibling before the round counts as
+    ///   lost. Each failover submission counts toward
+    ///   [`GraphStats::attempts`]; a sibling's delivery counts toward
+    ///   [`GraphStats::jobs_failed_over`] and the sibling's accounting.
+    ///
+    /// What is still undelivered waits for the next round, back on its
+    /// assigned member; successful siblings are never re-run, and seeded
+    /// counts keep offsetting a retried request. A timed-out job's device
+    /// time is accrued and its counts discarded. Backoff between rounds is
+    /// deterministic accounting ([`GraphStats::backoff_wait`]), never a
+    /// sleep. Nodes no pool member can fit fail before submission
+    /// ([`NodeFailure::attempts`] is 0). On permanent node failure the
+    /// error is a [`GraphFailure`] naming the failed nodes *and* carrying
+    /// the salvage — the counts of every sibling that succeeded.
+    pub fn execute<B: Backend + ?Sized>(
+        &self,
+        backend: &B,
+        retry: &RetryPolicy,
+    ) -> Result<GraphRun, Box<GraphFailure>> {
+        let pool = backend.as_pool();
+        let members = pool.map_or(1, BackendPool::len);
+        let assignment = match pool {
+            Some(pool) => self.placement(pool).assignment,
+            None => vec![Some(0); self.nodes.len()],
+        };
+        let submit = |member: usize, specs: &[JobSpec<'_>]| match pool {
+            Some(pool) => pool.member(member).run_batch_stats(specs),
+            None => backend.run_batch_stats(specs),
+        };
 
         let mut pending: Vec<(usize, u64)> = Vec::new();
         let mut permanent: Vec<NodeFailure> = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
             let missing = node.required_shots().saturating_sub(node.cached_shots());
-            if missing == 0 {
-                continue;
-            }
-            if placement.assignment[i].is_some() {
-                pending.push((i, missing));
-            } else {
-                let error = if members == 0 {
-                    BackendError::Unavailable
-                } else {
-                    BackendError::CircuitTooWide {
-                        circuit: node.circuit.num_qubits(),
-                        device: pool.num_qubits(),
-                    }
-                };
-                permanent.push(self.node_failure(i, error, 0));
+            match (missing, pool) {
+                (0, _) => {}
+                (_, Some(pool)) if assignment[i].is_none() => {
+                    let error = pool.infeasible_error(&node.circuit);
+                    permanent.push(self.node_failure(i, error, 0));
+                }
+                _ => pending.push((i, missing)),
             }
         }
 
+        // Bare runs carry no member accounting.
+        let accounted = pool.map_or(0, BackendPool::len);
         let mut stats = GraphStats {
             jobs_planned: self.jobs_planned,
             jobs_executed: pending.len(),
@@ -759,9 +701,9 @@ impl JobGraph {
                 .iter()
                 .flat_map(|n| n.consumers.iter().map(|&(_, s)| s))
                 .sum(),
-            jobs_per_member: vec![0; members],
-            shots_per_member: vec![0; members],
-            member_makespan: vec![Duration::ZERO; members],
+            jobs_per_member: vec![0; accounted],
+            shots_per_member: vec![0; accounted],
+            member_makespan: vec![Duration::ZERO; accounted],
             ..GraphStats::default()
         };
         let mut delivered: HashMap<usize, Counts> = HashMap::with_capacity(pending.len());
@@ -778,125 +720,55 @@ impl JobGraph {
             stats.attempts += pending.len() as u64;
             let last_round = attempt == max_attempts;
 
-            // Primary phase: one batch per member, in member-index order,
-            // each preserving graph insertion order.
-            let mut failover: Vec<(usize, u64, usize, BackendError)> = Vec::new();
+            let mut batches: Vec<Vec<(usize, u64)>> = vec![Vec::new(); members];
+            for &(i, shots) in &pending {
+                if let Some(m) = assignment[i] {
+                    batches[m].push((i, shots));
+                }
+            }
             let mut still_pending: Vec<(usize, u64)> = Vec::new();
-            for m in 0..members {
-                let mine: Vec<(usize, u64)> = pending
-                    .iter()
-                    .copied()
-                    .filter(|&(i, _)| placement.assignment[i] == Some(m))
-                    .collect();
-                if mine.is_empty() {
-                    continue;
-                }
-                let specs: Vec<JobSpec<'_>> = mine
-                    .iter()
-                    .map(|&(i, shots)| JobSpec::new(&self.nodes[i].circuit, shots))
-                    .collect();
-                let run = pool.member(m).run_batch_stats(&specs);
-                stats.gates_applied += run.stats.gates_applied;
-                stats.gates_saved += run.stats.gates_saved();
-                stats.states_reused += run.stats.states_reused;
-                for (&(i, shots), result) in mine.iter().zip(run.results) {
-                    match result {
-                        Ok(r) => {
-                            stats.simulated_device_time += r.simulated_duration;
-                            stats.host_time += r.host_duration;
-                            stats.member_makespan[m] += r.simulated_duration;
-                            match retry.per_job_timeout {
-                                Some(deadline) if r.simulated_duration > deadline => {
-                                    failover.push((
-                                        i,
-                                        shots,
-                                        m,
-                                        BackendError::Timeout {
-                                            elapsed: r.simulated_duration,
-                                        },
-                                    ));
-                                }
-                                _ => {
-                                    stats.shots_executed += shots;
-                                    stats.jobs_per_member[m] += 1;
-                                    stats.shots_per_member[m] += shots;
-                                    delivered.insert(i, r.counts);
-                                }
+            for failover in [false, true] {
+                let mut retryable: Vec<(usize, u64, usize, BackendError)> = Vec::new();
+                for (m, batch) in batches.iter().enumerate() {
+                    if batch.is_empty() {
+                        continue;
+                    }
+                    if failover {
+                        stats.attempts += batch.len() as u64;
+                    }
+                    let specs: Vec<JobSpec<'_>> = batch
+                        .iter()
+                        .map(|&(i, shots)| JobSpec::new(&self.nodes[i].circuit, shots))
+                        .collect();
+                    let outcomes = stats.settle(m, batch, submit(m, &specs), retry);
+                    for (&(i, shots), outcome) in batch.iter().zip(outcomes) {
+                        match outcome {
+                            Attempt::Delivered(counts) => {
+                                stats.jobs_failed_over += u64::from(failover);
+                                delivered.insert(i, counts);
                             }
-                        }
-                        Err(e) => {
-                            if e.is_transient() {
-                                failover.push((i, shots, m, e));
-                            } else {
-                                permanent.push(self.node_failure(i, e, attempt));
+                            Attempt::Retryable(error) => retryable.push((i, shots, m, error)),
+                            Attempt::Failed(error) => {
+                                permanent.push(self.node_failure(i, error, attempt));
                             }
                         }
                     }
                 }
-            }
-
-            // Failover phase, same round: each transiently failed node
-            // goes once to its next feasible sibling. Grouped per sibling
-            // (graph order preserved) so the sibling sees one batch.
-            let mut by_sibling: Vec<Vec<(usize, u64, BackendError)>> = vec![Vec::new(); members];
-            for (i, shots, m, error) in failover {
-                match pool.failover_sibling(m, self.nodes[i].circuit.num_qubits()) {
-                    Some(s) => by_sibling[s].push((i, shots, error)),
-                    None if last_round => {
-                        permanent.push(self.node_failure(i, error, attempt));
-                    }
-                    None => still_pending.push((i, shots)),
-                }
-            }
-            for (s, batch) in by_sibling.into_iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                stats.attempts += batch.len() as u64;
-                let specs: Vec<JobSpec<'_>> = batch
-                    .iter()
-                    .map(|&(i, shots, _)| JobSpec::new(&self.nodes[i].circuit, shots))
-                    .collect();
-                let run = pool.member(s).run_batch_stats(&specs);
-                stats.gates_applied += run.stats.gates_applied;
-                stats.gates_saved += run.stats.gates_saved();
-                stats.states_reused += run.stats.states_reused;
-                for (&(i, shots, _), result) in batch.iter().zip(run.results) {
-                    match result {
-                        Ok(r) => {
-                            stats.simulated_device_time += r.simulated_duration;
-                            stats.host_time += r.host_duration;
-                            stats.member_makespan[s] += r.simulated_duration;
-                            match retry.per_job_timeout {
-                                Some(deadline) if r.simulated_duration > deadline => {
-                                    if last_round {
-                                        permanent.push(self.node_failure(
-                                            i,
-                                            BackendError::Timeout {
-                                                elapsed: r.simulated_duration,
-                                            },
-                                            attempt,
-                                        ));
-                                    } else {
-                                        still_pending.push((i, shots));
-                                    }
-                                }
-                                _ => {
-                                    stats.shots_executed += shots;
-                                    stats.jobs_per_member[s] += 1;
-                                    stats.shots_per_member[s] += shots;
-                                    stats.jobs_failed_over += 1;
-                                    delivered.insert(i, r.counts);
-                                }
-                            }
+                // Route this phase's retryable nodes: after the primary
+                // phase to one failover sibling, otherwise (or when no
+                // sibling fits) to the next round.
+                batches = vec![Vec::new(); members];
+                for (i, shots, m, error) in retryable {
+                    let width = self.nodes[i].circuit.num_qubits();
+                    let sibling = pool
+                        .filter(|_| !failover)
+                        .and_then(|pool| pool.failover_sibling(m, width));
+                    match sibling {
+                        Some(s) => batches[s].push((i, shots)),
+                        None if last_round => {
+                            permanent.push(self.node_failure(i, error, attempt));
                         }
-                        Err(e) => {
-                            if e.is_transient() && !last_round {
-                                still_pending.push((i, shots));
-                            } else {
-                                permanent.push(self.node_failure(i, e, attempt));
-                            }
-                        }
+                        None => still_pending.push((i, shots)),
                     }
                 }
             }
@@ -908,7 +780,7 @@ impl JobGraph {
         self.finalize(stats, &delivered, permanent)
     }
 
-    /// The shared tail of every execute path: sorts the permanent
+    /// The tail of [`Self::execute`]: sorts the permanent
     /// failures, splits the non-executed shots between in-process reuse
     /// and warm-cache reuse, fans the merged histograms out to consumers,
     /// and wraps failures (with their salvage) into a [`GraphFailure`].
@@ -997,6 +869,7 @@ impl JobGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequential::Sequential;
     use qcut_device::ideal::IdealBackend;
 
     fn bell() -> Circuit {
@@ -1020,7 +893,9 @@ mod tests {
         assert_eq!(g.jobs_planned(), 3);
         assert_eq!(g.num_nodes(), 2);
 
-        let run = g.execute(&IdealBackend::new(5), true).unwrap();
+        let run = g
+            .execute(&IdealBackend::new(5), &RetryPolicy::default())
+            .unwrap();
         assert_eq!(run.stats.jobs_planned, 3);
         assert_eq!(run.stats.jobs_executed, 2);
         assert_eq!(run.stats.shots_requested, 1300);
@@ -1038,7 +913,9 @@ mod tests {
         let mut g = JobGraph::new();
         g.add_job(bell(), (Channel::Uncut, 0), 200);
         g.add_job(bell(), (Channel::Uncut, 1), 700);
-        let run = g.execute(&IdealBackend::new(1), false).unwrap();
+        let run = g
+            .execute(&IdealBackend::new(1), &RetryPolicy::default())
+            .unwrap();
         assert_eq!(run.stats.shots_executed, 700);
         assert_eq!(run.stats.shots_saved, 200);
         // The smaller consumer gets the full 700-shot histogram (never less
@@ -1053,7 +930,9 @@ mod tests {
         g.add_job(bell(), (Channel::UpstreamMeas, 4), 500); // same pair, bigger ask
         assert_eq!(g.jobs_planned(), 2);
         assert_eq!(g.num_nodes(), 1);
-        let run = g.execute(&IdealBackend::new(8), false).unwrap();
+        let run = g
+            .execute(&IdealBackend::new(8), &RetryPolicy::default())
+            .unwrap();
         // The consumer's demand was raised to max, not doubled.
         assert_eq!(run.stats.shots_executed, 500);
         assert_eq!(
@@ -1067,7 +946,9 @@ mod tests {
         g.add_job(bell(), (Channel::UpstreamMeas, 4), 300);
         g.add_job(bell(), (Channel::UpstreamMeas, 4), 500);
         assert_eq!(g.num_nodes(), 1);
-        let run = g.execute(&IdealBackend::new(8), false).unwrap();
+        let run = g
+            .execute(&IdealBackend::new(8), &RetryPolicy::default())
+            .unwrap();
         assert_eq!(
             run.counts(&(Channel::UpstreamMeas, 4)).unwrap().total(),
             500
@@ -1080,7 +961,9 @@ mod tests {
         g.add_job(bell(), (Channel::Uncut, 0), 200);
         g.add_job(bell(), (Channel::Uncut, 1), 700);
         assert_eq!(g.num_nodes(), 2);
-        let run = g.execute(&IdealBackend::new(1), false).unwrap();
+        let run = g
+            .execute(&IdealBackend::new(1), &RetryPolicy::default())
+            .unwrap();
         assert_eq!(run.stats.jobs_executed, 2);
         assert_eq!(run.stats.shots_saved, 0);
         assert_eq!(run.counts(&(Channel::Uncut, 0)).unwrap().total(), 200);
@@ -1096,7 +979,7 @@ mod tests {
         assert!(g.seed_counts(&bell(), &warmup.counts));
         assert!(!g.seed_counts(&ghz(), &warmup.counts)); // no such node
 
-        let run = g.execute(&backend, true).unwrap();
+        let run = g.execute(&backend, &RetryPolicy::default()).unwrap();
         assert_eq!(run.stats.shots_executed, 600); // 1000 − 400 cached
         assert_eq!(run.stats.shots_saved, 400);
         assert_eq!(
@@ -1112,7 +995,7 @@ mod tests {
         let mut g = JobGraph::new();
         g.add_job(bell(), (Channel::Detection, 7), 300);
         g.seed_counts(&bell(), &warmup.counts);
-        let run = g.execute(&backend, false).unwrap();
+        let run = g.execute(&backend, &RetryPolicy::default()).unwrap();
         assert_eq!(run.stats.jobs_executed, 0);
         assert_eq!(run.stats.shots_executed, 0);
         assert_eq!(run.counts(&(Channel::Detection, 7)).unwrap().total(), 500);
@@ -1133,7 +1016,7 @@ mod tests {
         assert!(g.seed_counts_from_cache(&bell(), &from_cache));
         assert!(g.seed_counts(&bell(), &from_stage));
 
-        let run = g.execute(&backend, true).unwrap();
+        let run = g.execute(&backend, &RetryPolicy::default()).unwrap();
         assert_eq!(run.stats.shots_requested, 1000);
         assert_eq!(run.stats.shots_executed, 500);
         assert_eq!(run.stats.cache_hits, 1);
@@ -1158,7 +1041,7 @@ mod tests {
         let mut g = JobGraph::new();
         g.add_job(bell(), (Channel::UpstreamMeas, 0), 400);
         g.seed_counts_from_cache(&bell(), &from_cache);
-        let run = g.execute(&backend, false).unwrap();
+        let run = g.execute(&backend, &RetryPolicy::default()).unwrap();
         assert_eq!(run.stats.shots_executed, 0);
         assert_eq!(run.stats.cache_hits, 1);
         assert_eq!(run.stats.cache_shots_reused, 400);
@@ -1172,7 +1055,7 @@ mod tests {
         let mut g = JobGraph::without_dedup();
         g.add_job(bell(), (Channel::UpstreamMeas, 0), 500);
         assert!(!g.seed_counts_from_cache(&bell(), &warm));
-        let run = g.execute(&backend, false).unwrap();
+        let run = g.execute(&backend, &RetryPolicy::default()).unwrap();
         assert_eq!(run.stats.shots_executed, 500);
         assert_eq!(run.stats.cache_shots_reused, 0);
         assert_eq!(run.stats.cache_hits, 0);
@@ -1192,7 +1075,7 @@ mod tests {
         g.add_job(bell(), (Channel::UpstreamMeas, 1), 900);
         g.add_job(bell(), (Channel::UpstreamMeas, 2), 250);
         g.seed_counts(&bell(), &warmup.counts);
-        let run = g.execute(&backend, true).unwrap();
+        let run = g.execute(&backend, &RetryPolicy::default()).unwrap();
         assert_eq!(run.stats.jobs_planned, 3);
         assert_eq!(run.stats.jobs_executed, 1);
         assert_eq!(run.stats.shots_requested, 400 + 900 + 250);
@@ -1220,8 +1103,11 @@ mod tests {
             }
             g
         };
-        let par = build().execute(&IdealBackend::new(33), true).unwrap();
-        let seq = build().execute(&IdealBackend::new(33), false).unwrap();
+        let once = RetryPolicy::default();
+        let par = build().execute(&IdealBackend::new(33), &once).unwrap();
+        let seq = build()
+            .execute(&Sequential(IdealBackend::new(33)), &once)
+            .unwrap();
         for i in 0..5 {
             assert_eq!(
                 par.counts(&(Channel::UpstreamMeas, i)),
@@ -1239,7 +1125,9 @@ mod tests {
         let mut g = JobGraph::new();
         g.add_job(bell(), (Channel::UpstreamMeas, 3), 100);
         g.add_job(ghz(), (Channel::SicPrep, 8), 100);
-        let mut run = g.execute(&IdealBackend::new(2), true).unwrap();
+        let mut run = g
+            .execute(&IdealBackend::new(2), &RetryPolicy::default())
+            .unwrap();
         let up = run.take_channel(Channel::UpstreamMeas);
         assert_eq!(up.len(), 1);
         assert!(up.contains_key(&3));
@@ -1265,12 +1153,13 @@ mod tests {
         for (i, c) in variant_family().into_iter().enumerate() {
             g.add_job(c, (Channel::UpstreamMeas, i as u64), 200);
         }
-        let par = g.execute(&IdealBackend::new(4), true).unwrap();
+        let once = RetryPolicy::default();
+        let par = g.execute(&IdealBackend::new(4), &once).unwrap();
         // 4 + 5 + 6 naive gates; the 4-gate fragment runs once.
         assert_eq!(par.stats.gates_applied, 4 + 1 + 2);
         assert_eq!(par.stats.gates_saved, 8);
-        // The sequential reference path simulates per job: nothing saved.
-        let seq = g.execute(&IdealBackend::new(4), false).unwrap();
+        // The sequential reference simulates per job: nothing saved.
+        let seq = g.execute(&Sequential(IdealBackend::new(4)), &once).unwrap();
         assert_eq!(seq.stats.gates_applied, 4 + 5 + 6);
         assert_eq!(seq.stats.gates_saved, 0);
         // Sharing never changes the delivered counts.
@@ -1294,7 +1183,9 @@ mod tests {
         assert_eq!(profile.gates_naive, 15);
         assert_eq!(profile.gates_shared, 7);
         // The profile matches what execution actually reports.
-        let run = g.execute(&IdealBackend::new(1), true).unwrap();
+        let run = g
+            .execute(&IdealBackend::new(1), &RetryPolicy::default())
+            .unwrap();
         assert_eq!(run.stats.gates_applied, profile.gates_shared);
         assert_eq!(run.stats.gates_saved, profile.gates_saved());
     }
@@ -1308,7 +1199,7 @@ mod tests {
         g.add_job(ghz(), (Channel::Uncut, 0), 100);
         g.add_job(bell(), (Channel::UpstreamMeas, 3), 250);
         let tiny = IdealBackend::new(0).with_capacity(2);
-        let failure = g.execute(&tiny, true).unwrap_err();
+        let failure = g.execute(&tiny, &RetryPolicy::default()).unwrap_err();
         assert_eq!(failure.failures.len(), 1);
         let f = &failure.failures[0];
         assert!(matches!(f.error, BackendError::CircuitTooWide { .. }));
@@ -1330,7 +1221,6 @@ mod tests {
 
     #[test]
     fn transient_faults_recover_bit_identically_under_retry() {
-        use crate::retry::RetryPolicy;
         use qcut_device::fault::FaultInjectingBackend;
 
         let build = || {
@@ -1339,7 +1229,9 @@ mod tests {
             g.add_job(ghz(), (Channel::DownstreamPrep, 1), 300);
             g
         };
-        let clean = build().execute(&IdealBackend::new(17), true).unwrap();
+        let clean = build()
+            .execute(&IdealBackend::new(17), &RetryPolicy::default())
+            .unwrap();
 
         // Every node fails its first two delivery attempts; with three
         // attempts allowed the run recovers — and because failed attempts
@@ -1347,7 +1239,7 @@ mod tests {
         // fault-free counts, bit for bit.
         let flaky = FaultInjectingBackend::new(IdealBackend::new(17)).fail_first(2);
         let run = build()
-            .execute_with(&flaky, true, &RetryPolicy::with_attempts(3))
+            .execute(&flaky, &RetryPolicy::with_attempts(3))
             .unwrap();
         for key in [(Channel::UpstreamMeas, 0), (Channel::DownstreamPrep, 1)] {
             assert_eq!(run.counts(&key), clean.counts(&key), "{key:?}");
@@ -1361,7 +1253,6 @@ mod tests {
 
     #[test]
     fn only_failed_nodes_are_resubmitted() {
-        use crate::retry::RetryPolicy;
         use qcut_device::fault::FaultInjectingBackend;
 
         let ghz_c = ghz();
@@ -1369,9 +1260,7 @@ mod tests {
         let mut g = JobGraph::new();
         g.add_job(bell(), (Channel::UpstreamMeas, 0), 200);
         g.add_job(ghz_c.clone(), (Channel::DownstreamPrep, 0), 300);
-        let run = g
-            .execute_with(&flaky, true, &RetryPolicy::with_attempts(2))
-            .unwrap();
+        let run = g.execute(&flaky, &RetryPolicy::with_attempts(2)).unwrap();
         // The bell node succeeded first try and was not re-bought: one
         // retry total, for the ghz node only.
         assert_eq!(run.stats.jobs_retried, 1);
@@ -1383,7 +1272,6 @@ mod tests {
 
     #[test]
     fn retries_exhausted_is_a_permanent_failure_with_salvage() {
-        use crate::retry::RetryPolicy;
         use qcut_device::fault::FaultInjectingBackend;
 
         let ghz_c = ghz();
@@ -1392,7 +1280,7 @@ mod tests {
         g.add_job(bell(), (Channel::UpstreamMeas, 0), 200);
         g.add_job(ghz_c, (Channel::DownstreamPrep, 5), 300);
         let failure = g
-            .execute_with(&flaky, true, &RetryPolicy::with_attempts(3))
+            .execute(&flaky, &RetryPolicy::with_attempts(3))
             .unwrap_err();
         let f = &failure.failures[0];
         assert_eq!(f.attempts, 3);
@@ -1413,12 +1301,11 @@ mod tests {
 
     #[test]
     fn deterministic_errors_never_retry() {
-        use crate::retry::RetryPolicy;
         let mut g = JobGraph::new();
         g.add_job(ghz(), (Channel::Uncut, 0), 100);
         let tiny = IdealBackend::new(0).with_capacity(2);
         let failure = g
-            .execute_with(&tiny, false, &RetryPolicy::with_attempts(5))
+            .execute(&tiny, &RetryPolicy::with_attempts(5))
             .unwrap_err();
         // CircuitTooWide is not transient: one attempt, not five.
         assert_eq!(failure.failures[0].attempts, 1);
@@ -1428,7 +1315,6 @@ mod tests {
 
     #[test]
     fn per_job_timeout_is_deterministic_and_wastes_device_time() {
-        use crate::retry::RetryPolicy;
         use qcut_device::timing::TimingModel;
 
         let slow = TimingModel {
@@ -1446,7 +1332,7 @@ mod tests {
             per_job_timeout: Some(Duration::from_secs(1)),
             ..RetryPolicy::default()
         };
-        let failure = g.execute_with(&backend, true, &policy).unwrap_err();
+        let failure = g.execute(&backend, &policy).unwrap_err();
         let f = &failure.failures[0];
         assert!(matches!(f.error, BackendError::Timeout { .. }));
         assert_eq!(f.attempts, 2);
@@ -1460,12 +1346,12 @@ mod tests {
             per_job_timeout: Some(Duration::from_secs(3)),
             ..RetryPolicy::default()
         };
-        assert!(g.execute_with(&backend, true, &lenient).is_ok());
+        assert!(g.execute(&backend, &lenient).is_ok());
     }
 
     #[test]
     fn backoff_is_accounted_but_never_slept() {
-        use crate::retry::{Backoff, RetryPolicy};
+        use crate::retry::Backoff;
         use qcut_device::fault::FaultInjectingBackend;
 
         let flaky = FaultInjectingBackend::new(IdealBackend::new(1)).fail_first(2);
@@ -1481,7 +1367,7 @@ mod tests {
             per_job_timeout: None,
         };
         let started = std::time::Instant::now();
-        let run = g.execute_with(&flaky, false, &policy).unwrap();
+        let run = g.execute(&flaky, &policy).unwrap();
         // 10 s before retry 1 + 20 s before retry 2, accounted not slept.
         assert_eq!(run.stats.backoff_wait, Duration::from_secs(30));
         assert!(started.elapsed() < Duration::from_secs(5));
@@ -1491,7 +1377,6 @@ mod tests {
     fn seeded_counts_still_offset_the_retried_request() {
         // A node with 400 seeded shots retries only its 600-shot increment:
         // the seeded data is never re-bought, even through a fault.
-        use crate::retry::RetryPolicy;
         use qcut_device::fault::FaultInjectingBackend;
 
         let seeder = IdealBackend::new(9);
@@ -1500,9 +1385,7 @@ mod tests {
         let mut g = JobGraph::new();
         g.add_job(bell(), (Channel::UpstreamMeas, 0), 1000);
         g.seed_counts(&bell(), &warmup.counts);
-        let run = g
-            .execute_with(&flaky, true, &RetryPolicy::with_attempts(2))
-            .unwrap();
+        let run = g.execute(&flaky, &RetryPolicy::with_attempts(2)).unwrap();
         assert_eq!(run.stats.shots_executed, 600);
         assert_eq!(run.stats.shots_saved, 400);
         assert_eq!(
@@ -1524,7 +1407,7 @@ mod tests {
         }
         g.add_job(ghz(), (Channel::DownstreamPrep, 0), 300);
         // 5 planned, 2 unique nodes (bell merged at max budget 103).
-        let run = g.execute(&pool, true).unwrap();
+        let run = g.execute(&pool, &RetryPolicy::default()).unwrap();
         assert_eq!(run.stats.jobs_executed, 2);
         assert_eq!(run.stats.jobs_per_member, vec![1, 1]);
         assert_eq!(run.stats.shots_per_member, vec![103, 300]);
@@ -1559,10 +1442,12 @@ mod tests {
             g.add_job(ghz(), (Channel::DownstreamPrep, 0), 150);
             g
         };
-        let bare = build().execute(&IdealBackend::new(42), true).unwrap();
+        let bare = build()
+            .execute(&IdealBackend::new(42), &RetryPolicy::default())
+            .unwrap();
         let pool =
             BackendPool::new(PlacementPolicy::LeastLoaded).with_backend(IdealBackend::new(42));
-        let pooled = build().execute(&pool, true).unwrap();
+        let pooled = build().execute(&pool, &RetryPolicy::default()).unwrap();
         for key in [
             (Channel::UpstreamMeas, 0),
             (Channel::UpstreamMeas, 1),
@@ -1593,7 +1478,7 @@ mod tests {
         let mut g = JobGraph::new();
         g.add_job(bell_c.clone(), (Channel::UpstreamMeas, 0), 400);
         g.add_job(ghz(), (Channel::DownstreamPrep, 0), 300);
-        let run = g.execute(&pool, true).unwrap();
+        let run = g.execute(&pool, &RetryPolicy::default()).unwrap();
         assert_eq!(run.stats.jobs_failed_over, 1);
         assert_eq!(run.stats.jobs_per_member, vec![1, 1]);
         assert_eq!(run.stats.shots_per_member, vec![300, 400]);
@@ -1609,7 +1494,7 @@ mod tests {
         let mut g2 = JobGraph::new();
         g2.add_job(bell_c, (Channel::UpstreamMeas, 0), 400);
         g2.add_job(ghz(), (Channel::DownstreamPrep, 0), 300);
-        let want = g2.execute(&reference, true).unwrap();
+        let want = g2.execute(&reference, &RetryPolicy::default()).unwrap();
         for key in [(Channel::UpstreamMeas, 0), (Channel::DownstreamPrep, 0)] {
             assert_eq!(run.counts(&key), want.counts(&key), "{key:?}");
         }
@@ -1625,7 +1510,7 @@ mod tests {
         let mut g = JobGraph::new();
         g.add_job(ghz(), (Channel::Uncut, 0), 100); // fits no member
         g.add_job(bell(), (Channel::UpstreamMeas, 0), 250);
-        let failure = g.execute(&pool, true).unwrap_err();
+        let failure = g.execute(&pool, &RetryPolicy::default()).unwrap_err();
         let f = &failure.failures[0];
         assert!(matches!(
             f.error,

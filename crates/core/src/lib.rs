@@ -14,13 +14,15 @@
 //! * [`jobgraph`] — the batched, deduplicating JobGraph engine every
 //!   backend execution (eigenstate, SIC, online detection, uncut) routes
 //!   through: structurally identical subcircuits execute once and fan back
-//!   out to every consumer;
+//!   out to every consumer, under one retry/timeout/failover loop that
+//!   treats a bare backend as a one-member pool;
 //! * [`planner`] — graph builders translating a [`basis::BasisPlan`] into
 //!   engine jobs;
 //! * [`allocation`] — shot-allocation policies over the settings: the
 //!   paper's uniform protocol, exact total-budget splits, usage-weighted
 //!   budgets, and the two-round variance-adaptive pilot → refine policy;
-//! * [`execution`] — parallel fragment data gathering on any backend;
+//! * [`execution`] — fragment data gathering on any backend, as one
+//!   batched engine submission;
 //! * [`reconstruction`] — the tensor contraction of paper Eq. 13/14, plus
 //!   exact (infinite-shot) variants used for verification and detection;
 //! * [`variance`] — shot-noise propagation through the contraction:
@@ -91,6 +93,10 @@ pub mod sic;
 pub mod tomography;
 pub mod variance;
 
+#[cfg(test)]
+#[path = "../../../tests/support/sequential.rs"]
+mod sequential;
+
 /// Cut specification types, re-exported from `qcut-circuit` for
 /// convenience (they live there so ansatz generators can return them).
 pub mod cut {
@@ -113,7 +119,7 @@ pub mod prelude {
         cut_report, prove_golden_bases, proven_plan, CutCandidate, CutReport,
     };
     pub use crate::error::{ExecutionFailure, PipelineError};
-    pub use crate::execution::{gather, gather_scheduled, gather_scheduled_with, FragmentData};
+    pub use crate::execution::{gather, FragmentData};
     pub use crate::fragment::{Fragment, FragmentError, FragmentRole, Fragmenter, Fragments};
     pub use crate::golden::{
         ExactDetector, GoldenPolicy, GoldenVerdict, OnlineConfig, OnlineDetector,
@@ -134,7 +140,7 @@ pub mod prelude {
     };
     pub use crate::report::{FailureRecord, RunReport, UncutReport};
     pub use crate::retry::{Backoff, FailurePolicy, RetryPolicy};
-    pub use crate::sic::{gather_sic, gather_sic_with, sic_downstream_tensor, SicData, SicFrame};
+    pub use crate::sic::{gather_sic, sic_downstream_tensor, SicData, SicFrame};
     pub use crate::tomography::ExperimentPlan;
     pub use crate::variance::{
         empirical_variance, reconstruction_variance, variance_from_schedule, variance_from_tensors,

@@ -48,7 +48,7 @@ use crate::variance::neyman_scores;
 use qcut_cache::{CacheKey, ShotDiscipline, WarmCache};
 use qcut_circuit::circuit::Circuit;
 use qcut_circuit::cut::CutSpec;
-use qcut_device::backend::{Backend, BackendError, JobSpec};
+use qcut_device::backend::{Backend, BackendError};
 use qcut_sim::counts::Counts;
 use qcut_stats::distribution::Distribution;
 use std::collections::hash_map::Entry;
@@ -99,8 +99,6 @@ pub struct ExecutionOptions {
     pub method: ReconstructionMethod,
     /// Post-processing step.
     pub postprocess: PostProcess,
-    /// Fan subcircuits out over the rayon pool.
-    pub parallel: bool,
     /// Deduplicate structurally identical subcircuits on the JobGraph
     /// engine and reuse online-detection data for the main gather. Off is
     /// the ablation baseline: every planned job executes independently.
@@ -146,7 +144,6 @@ impl Default for ExecutionOptions {
             allocation: None,
             method: ReconstructionMethod::Eigenstate,
             postprocess: PostProcess::ClipRenormalize,
-            parallel: true,
             dedup: true,
             analysis: AnalysisConfig::default(),
             cache: None,
@@ -749,10 +746,9 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         for (circuit, counts) in seeds.values() {
             graph.seed_counts(circuit, counts);
         }
-        // On a pool backend, cache keys are per *member*: reproduce the
-        // placement `execute_pool` will compute (same node order, same
-        // max-consumer-demand shots, so the assignment is identical) and
-        // key each node by its assigned member's fingerprint. Seeding is
+        // On a pool backend, cache keys are per *member*: key each node by
+        // the fingerprint of the member `JobGraph::placement` assigns it
+        // to — the placement the engine shards by. Seeding is
         // shot-accounting only, so the placement the engine computes at
         // execute time is unaffected by what the cache serves here.
         let member_fingerprints = self.member_fingerprints(&graph);
@@ -771,7 +767,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                 }
             }
         }
-        let mut grun = match graph.execute_with(self.backend, options.parallel, &options.retry) {
+        let mut grun = match graph.execute(self.backend, &options.retry) {
             Ok(run) => run,
             Err(failure) => match options.failure {
                 FailurePolicy::Fail => return Err(failure.into()),
@@ -796,32 +792,19 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
 
     /// Structural hash → member cache fingerprint for every node of a
     /// planned graph when the bound backend is a
-    /// [`qcut_device::pool::BackendPool`] (empty map otherwise). Runs the
-    /// pool's placement over the same specs `JobGraph::execute_pool` will
-    /// build — every node at its maximum consumer demand, in insertion
-    /// order — so the assignment here and the one at execute time agree
-    /// exactly. Nodes the placement cannot seat (over-capacity) fall back
-    /// to the pool's aggregate fingerprint; they fail before submission
-    /// anyway, so no histogram is ever stored under it.
+    /// [`qcut_device::pool::BackendPool`] (empty map otherwise), by
+    /// [`JobGraph::placement`] — the assignment the engine shards by.
+    /// Nodes the placement cannot seat (over-capacity) fall back to the
+    /// pool's aggregate fingerprint; they fail before submission anyway,
+    /// so no histogram is ever stored under it.
     fn member_fingerprints(&self, graph: &JobGraph) -> HashMap<u64, u64> {
         let Some(pool) = self.backend.as_pool() else {
             return HashMap::new();
         };
-        let jobs: Vec<(&Circuit, u64)> = graph
-            .node_jobs()
-            .map(|(circuit, consumers)| {
-                let required = consumers.iter().map(|&(_, shots)| shots).max().unwrap_or(0);
-                (circuit, required)
-            })
-            .collect();
-        let specs: Vec<JobSpec<'_>> = jobs
-            .iter()
-            .map(|&(circuit, shots)| JobSpec::new(circuit, shots))
-            .collect();
-        let placement = pool.place(&specs);
-        jobs.iter()
-            .zip(&placement.assignment)
-            .map(|(&(circuit, _), &member)| {
+        graph
+            .node_circuits()
+            .zip(graph.placement(pool).assignment)
+            .map(|(circuit, member)| {
                 let fingerprint = match member {
                     Some(m) => pool.member(m).cache_fingerprint(),
                     None => pool.cache_fingerprint(),
@@ -1040,7 +1023,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
     ) -> Result<UncutRun, PipelineError> {
         let started = Instant::now();
         let graph = uncut_graph(circuit, shots);
-        let mut run = graph.execute_with(self.backend, false, retry)?;
+        let mut run = graph.execute(self.backend, retry)?;
         let counts = run
             .take_channel(Channel::Uncut)
             .remove(&0)
@@ -1108,11 +1091,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                                 config.batch_shots,
                             );
                         }
-                        let mut grun = match graph.execute_with(
-                            self.backend,
-                            options.parallel,
-                            &options.retry,
-                        ) {
+                        let mut grun = match graph.execute(self.backend, &options.retry) {
                             Ok(run) => run,
                             Err(failure) => match options.failure {
                                 FailurePolicy::Fail => return Err(failure.into()),

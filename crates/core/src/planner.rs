@@ -186,6 +186,7 @@ pub fn uncut_graph(circuit: &Circuit, shots: u64) -> JobGraph {
 mod tests {
     use super::*;
     use crate::fragment::Fragmenter;
+    use crate::retry::RetryPolicy;
     use qcut_circuit::ansatz::GoldenAnsatz;
     use qcut_math::Pauli;
 
@@ -237,7 +238,10 @@ mod tests {
         let mut g = JobGraph::new();
         add_upstream_jobs(&mut g, &frags, &plan, &[100, 200, 300]);
         let run = g
-            .execute(&qcut_device::ideal::IdealBackend::new(0), false)
+            .execute(
+                &qcut_device::ideal::IdealBackend::new(0),
+                &RetryPolicy::default(),
+            )
             .unwrap();
         assert_eq!(run.stats.shots_executed, 600);
     }
@@ -249,7 +253,10 @@ mod tests {
         add_sic_jobs(&mut g, &frags.downstream, 1, &[10, 20, 30, 40]);
         assert_eq!(g.jobs_planned(), 4);
         let run = g
-            .execute(&qcut_device::ideal::IdealBackend::new(0), false)
+            .execute(
+                &qcut_device::ideal::IdealBackend::new(0),
+                &RetryPolicy::default(),
+            )
             .unwrap();
         assert_eq!(run.stats.shots_executed, 100);
     }

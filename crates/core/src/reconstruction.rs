@@ -475,6 +475,7 @@ mod tests {
     #[test]
     fn empirical_reconstruction_converges_to_truth() {
         use crate::execution::gather;
+        use crate::retry::RetryPolicy;
         use crate::tomography::ExperimentPlan;
         use qcut_device::ideal::IdealBackend;
 
@@ -483,7 +484,13 @@ mod tests {
         let plan = BasisPlan::standard(1);
         let experiment = ExperimentPlan::build(&frags, &plan);
         let backend = IdealBackend::new(42);
-        let data = gather(&backend, &experiment, 40_000, true).unwrap();
+        let data = gather(
+            &backend,
+            &experiment,
+            &experiment.uniform_schedule(40_000),
+            &RetryPolicy::default(),
+        )
+        .unwrap();
         let recon = reconstruct(&frags, &plan, &data);
         let d = total_variation_distance(&recon.clip_renormalize(), &truth(&circuit));
         assert!(d < 0.03, "empirical reconstruction off by {d}");

@@ -2,11 +2,13 @@
 //!
 //! Real device fleets fail transiently — throttled submissions, dropped
 //! jobs, mid-queue recalibrations — and the engine's answer is a
-//! [`RetryPolicy`] honored inside [`crate::jobgraph::JobGraph::execute_with`]:
-//! only the failed nodes of a batch are re-submitted (successful siblings
-//! are salvaged, and any counts already seeded into a node still offset
-//! its retry, so no shot is ever re-bought), and the backoff between
-//! attempts is pure *accounting* — a [`Duration`] accumulated into
+//! [`RetryPolicy`] honored by [`crate::jobgraph::JobGraph::execute`], the
+//! one retry loop every backend (bare or pooled) runs through: only the
+//! failed nodes of a batch are re-submitted (successful siblings are
+//! salvaged, and any counts already seeded into a node still offset its
+//! retry, so no shot is ever re-bought), a pool member's transient fault
+//! first fails over to a sibling within the same round, and the backoff
+//! between rounds is pure *accounting* — a [`Duration`] accumulated into
 //! [`crate::jobgraph::GraphStats::backoff_wait`], never slept — so tests
 //! replay deterministically without a wall clock.
 //!

@@ -140,41 +140,22 @@ pub fn build_sic_circuit(fragment: &Fragment, states: &[SicState]) -> Circuit {
 }
 
 /// Runs all `4^K` SIC preparations of the downstream fragment as one
-/// batched, deduplicated engine submission.
-pub fn gather_sic<B: Backend + ?Sized>(
-    backend: &B,
-    fragment: &Fragment,
-    num_cuts: usize,
-    shots_per_setting: u64,
-    parallel: bool,
-) -> Result<SicData, Box<GraphFailure>> {
-    gather_sic_with(
-        backend,
-        fragment,
-        num_cuts,
-        shots_per_setting,
-        parallel,
-        &RetryPolicy::default(),
-    )
-}
-
-/// Like [`gather_sic`] but honoring a [`RetryPolicy`] inside the engine.
+/// batched, deduplicated engine submission under `retry`.
 ///
 /// SIC preparations are informationally complete, not overcomplete: a
 /// permanently failed preparation makes the 4×4 frame system singular, so
 /// there is no degraded salvage for SIC data — callers must either retry
 /// until delivery or fail the run.
-pub fn gather_sic_with<B: Backend + ?Sized>(
+pub fn gather_sic<B: Backend + ?Sized>(
     backend: &B,
     fragment: &Fragment,
     num_cuts: usize,
     shots_per_setting: u64,
-    parallel: bool,
     retry: &RetryPolicy,
 ) -> Result<SicData, Box<GraphFailure>> {
     let mut graph = JobGraph::new();
     crate::planner::add_sic_jobs(&mut graph, fragment, num_cuts, &[shots_per_setting]);
-    let mut run = graph.execute_with(backend, parallel, retry)?;
+    let mut run = graph.execute(backend, retry)?;
     let counts = run.take_channel(Channel::SicPrep);
     Ok(SicData {
         subcircuits: counts.len(),
@@ -360,7 +341,14 @@ mod tests {
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
         let backend = IdealBackend::new(11);
-        let data = gather_sic(&backend, &frags.downstream, 1, 60_000, true).unwrap();
+        let data = gather_sic(
+            &backend,
+            &frags.downstream,
+            1,
+            60_000,
+            &RetryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(data.subcircuits, 4);
         let up = crate::reconstruction::exact_upstream_tensor(&frags.upstream, &plan);
         let down = sic_downstream_tensor(&frags.downstream, &plan, &data);

@@ -9,6 +9,7 @@
 //! The number of variants is the paper's headline cost:
 //! `3^{K_r} 2^{K_g} + 6^{K_r} 4^{K_g}` (9 vs 6 for a single cut).
 
+use crate::allocation::ShotSchedule;
 use crate::basis::{BasisPlan, MeasBasis};
 use crate::fragment::{Fragment, FragmentRole, Fragments};
 use qcut_circuit::circuit::Circuit;
@@ -81,6 +82,16 @@ impl ExperimentPlan {
     /// Total shots for a per-setting budget.
     pub fn total_shots(&self, shots_per_setting: u64) -> u64 {
         self.num_subcircuits() as u64 * shots_per_setting
+    }
+
+    /// The paper's uniform protocol over this plan's variants:
+    /// `shots_per_setting` for every setting.
+    pub fn uniform_schedule(&self, shots_per_setting: u64) -> ShotSchedule {
+        ShotSchedule::uniform(
+            self.upstream.len(),
+            self.downstream.len(),
+            shots_per_setting,
+        )
     }
 }
 

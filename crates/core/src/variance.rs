@@ -387,6 +387,7 @@ mod tests {
     use crate::execution::gather;
     use crate::fragment::Fragmenter;
     use crate::reconstruction::{exact_downstream_tensor, exact_upstream_tensor, reconstruct};
+    use crate::retry::RetryPolicy;
     use crate::tomography::ExperimentPlan;
     use qcut_circuit::ansatz::GoldenAnsatz;
     use qcut_device::ideal::IdealBackend;
@@ -444,7 +445,13 @@ mod tests {
         let mut predicted_rms = 0.0;
         for t in 0..trials {
             let backend = IdealBackend::new(9000 + t as u64);
-            let data = gather(&backend, &experiment, shots, true).unwrap();
+            let data = gather(
+                &backend,
+                &experiment,
+                &experiment.uniform_schedule(shots),
+                &RetryPolicy::default(),
+            )
+            .unwrap();
             dists.push(reconstruct(&frags, &plan, &data));
             if t == 0 {
                 predicted_rms = reconstruction_variance(&frags, &plan, &data).rms_error();
@@ -473,7 +480,13 @@ mod tests {
         let experiment = ExperimentPlan::build(&frags, &plan);
         let backend = IdealBackend::new(55);
         let shots = 1500u64;
-        let data = gather(&backend, &experiment, shots, true).unwrap();
+        let data = gather(
+            &backend,
+            &experiment,
+            &experiment.uniform_schedule(shots),
+            &RetryPolicy::default(),
+        )
+        .unwrap();
         let up = upstream_tensor(&frags.upstream, &plan, &data);
         let down = downstream_tensor(&frags.downstream, &plan, &data);
         let realized = reconstruction_variance(&frags, &plan, &data);
@@ -601,7 +614,13 @@ mod tests {
         let plan = BasisPlan::standard(1);
         let experiment = ExperimentPlan::build(&frags, &plan);
         let backend = IdealBackend::new(77);
-        let data = gather(&backend, &experiment, 1000, true).unwrap();
+        let data = gather(
+            &backend,
+            &experiment,
+            &experiment.uniform_schedule(1000),
+            &RetryPolicy::default(),
+        )
+        .unwrap();
         let err = reconstruction_variance(&frags, &plan, &data);
         assert_eq!(err.num_bits(), 5);
         assert!(err.variance(0) > 0.0);

@@ -451,9 +451,9 @@ pub trait Backend: Sync {
     }
 
     /// Downcast seam for the engine: a [`crate::pool::BackendPool`]
-    /// returns `Some(self)` so the JobGraph execute path can route pooled
-    /// backends through its sharding/failover engine while every other
-    /// backend takes the single-device path. Defaults to `None`.
+    /// returns `Some(self)` so the JobGraph engine shards across its
+    /// members with sibling failover; every other backend runs as a pool
+    /// of one. Defaults to `None`.
     fn as_pool(&self) -> Option<&BackendPool> {
         None
     }

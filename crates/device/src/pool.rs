@@ -20,10 +20,11 @@
 //!
 //! The pool implements [`Backend`] itself, so it slots into every
 //! existing seam: `CutExecutor::new(&pool)` shards a whole cutting run.
-//! The JobGraph engine detects pools via [`Backend::as_pool`] and routes
-//! execution through its pool-aware path, which adds per-member
-//! accounting, per-member warm-cache fingerprints, and sibling failover
-//! for transient faults (see `qcut_core::jobgraph`). Calling the pool's
+//! The JobGraph engine detects pools via [`Backend::as_pool`] and shards
+//! its one execution loop across the members (a bare backend runs as a
+//! pool of one), adding per-member accounting, per-member warm-cache
+//! fingerprints, and sibling failover for transient faults (see
+//! `qcut_core::jobgraph`). Calling the pool's
 //! own [`Backend::run_batch_stats`] directly gives the single-attempt
 //! sharded semantics without failover.
 
@@ -228,7 +229,7 @@ impl BackendPool {
 
     /// The next member after `from` (cyclically, excluding `from` itself)
     /// that fits a `width`-qubit circuit — the failover sibling order the
-    /// pool-aware retry engine uses.
+    /// JobGraph engine uses.
     pub fn failover_sibling(&self, from: usize, width: usize) -> Option<usize> {
         let n = self.members.len();
         (1..n)
@@ -373,8 +374,9 @@ impl BackendPool {
     }
 
     /// The error an unplaceable job reports: capacity-infeasible on a
-    /// non-empty pool, [`BackendError::Unavailable`] on an empty one.
-    fn infeasible_error(&self, circuit: &Circuit) -> BackendError {
+    /// non-empty pool, [`BackendError::Unavailable`] on an empty one. The
+    /// JobGraph engine fails such nodes with it before submission.
+    pub fn infeasible_error(&self, circuit: &Circuit) -> BackendError {
         if self.members.is_empty() {
             BackendError::Unavailable
         } else {
@@ -403,7 +405,7 @@ impl Backend for BackendPool {
 
     /// A representative timing model: member 0's (instantaneous when the
     /// pool is empty). Per-member makespans are accounted exactly by the
-    /// pool-aware engine path; this model only feeds coarse pre-run
+    /// JobGraph engine; this model only feeds coarse pre-run
     /// estimates (e.g. the `QA502` timeout lint).
     fn timing(&self) -> &TimingModel {
         self.members

@@ -42,7 +42,13 @@ fn main() {
         let mut predicted = 0.0;
         for t in 0..trials {
             let backend = IdealBackend::new(5000 + t as u64);
-            let data = gather(&backend, &experiment, shots, true).expect("gather");
+            let data = gather(
+                &backend,
+                &experiment,
+                &experiment.uniform_schedule(shots),
+                &RetryPolicy::default(),
+            )
+            .expect("gather");
             if t == 0 {
                 predicted = reconstruction_variance(&frags, &plan, &data).rms_error();
             }

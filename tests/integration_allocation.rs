@@ -15,7 +15,7 @@ use qcut::cutting::allocation::{
 };
 use qcut::cutting::basis::BasisPlan;
 use qcut::cutting::error::PipelineError;
-use qcut::cutting::execution::gather_scheduled;
+use qcut::cutting::execution::gather;
 use qcut::cutting::golden::OnlineConfig;
 use qcut::cutting::observable::{pauli_expectation, DiagonalObservable};
 use qcut::cutting::reconstruction::{exact_downstream_tensor, exact_upstream_tensor, reconstruct};
@@ -39,7 +39,7 @@ fn weighted_allocation_reconstructs_correctly() {
     .unwrap();
     assert!(sched.min_shots() > 0);
     assert_eq!(sched.total(), 120_000);
-    let data = gather_scheduled(&backend, &experiment, &sched, true).unwrap();
+    let data = gather(&backend, &experiment, &sched, &RetryPolicy::default()).unwrap();
     assert_eq!(data.total_shots, sched.total());
 
     let recon = reconstruct(&frags, &basis, &data).clip_renormalize();
@@ -66,7 +66,7 @@ fn equal_budget_uniform_vs_weighted_accuracy() {
         let backend = IdealBackend::new(43);
         let sched = schedule(&basis, &experiment, alloc).unwrap();
         assert_eq!(sched.total(), total, "{alloc:?} must spend exactly");
-        let data = gather_scheduled(&backend, &experiment, &sched, true).unwrap();
+        let data = gather(&backend, &experiment, &sched, &RetryPolicy::default()).unwrap();
         let recon = reconstruct(&frags, &basis, &data).clip_renormalize();
         let d = total_variation_distance(&recon, &truth);
         assert!(d < 0.05, "{alloc:?}: off by {d}");
@@ -425,7 +425,7 @@ proptest! {
             downstream: shots[3..].to_vec(),
         };
         let backend = IdealBackend::new(seed);
-        let data = gather_scheduled(&backend, &experiment, &sched, true).unwrap();
+        let data = gather(&backend, &experiment, &sched, &RetryPolicy::default()).unwrap();
         prop_assert_eq!(data.total_shots, sched.total());
         for (i, v) in experiment.upstream.iter().enumerate() {
             let key = qcut::cutting::basis::encode_meas(&v.setting);
@@ -754,15 +754,15 @@ fn seeded_refine_round_delivers_the_merge_of_both_passes() {
 
     // Two independent single-round gathers …
     let backend = IdealBackend::new(131);
-    let mut merged = gather_scheduled(&backend, &experiment, &pilot_sched, true).unwrap();
-    let fresh = gather_scheduled(&backend, &experiment, &increments, true).unwrap();
+    let mut merged = gather(&backend, &experiment, &pilot_sched, &RetryPolicy::default()).unwrap();
+    let fresh = gather(&backend, &experiment, &increments, &RetryPolicy::default()).unwrap();
     merged.merge(&fresh);
 
     // … versus a pilot + seeded engine round requesting the cumulative
     // targets, on a fresh same-seed backend so both arms draw identical
     // per-job RNG streams (sub-seeds advance with every executed job).
     let backend = IdealBackend::new(131);
-    let pilot = gather_scheduled(&backend, &experiment, &pilot_sched, true).unwrap();
+    let pilot = gather(&backend, &experiment, &pilot_sched, &RetryPolicy::default()).unwrap();
     let mut graph = JobGraph::new();
     for (i, v) in experiment.upstream.iter().enumerate() {
         graph.add_job(
@@ -784,7 +784,7 @@ fn seeded_refine_round_delivers_the_merge_of_both_passes() {
     for v in &experiment.downstream {
         graph.seed_counts(&v.circuit, &pilot.downstream[&encode_prep(&v.preparation)]);
     }
-    let mut run = graph.execute(&backend, true).unwrap();
+    let mut run = graph.execute(&backend, &RetryPolicy::default()).unwrap();
     assert_eq!(run.stats.shots_executed, increments.total());
     assert_eq!(run.stats.shots_saved, pilot_sched.total());
     let seeded = FragmentData::from_counts(

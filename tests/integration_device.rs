@@ -1,5 +1,5 @@
 //! Integration tests of the device layer with the cutting pipeline:
-//! noise ordering, timing accounting, parallel executors, SIC on devices.
+//! noise ordering, timing accounting, SIC on devices.
 
 use qcut::cutting::pipeline::ReconstructionMethod;
 use qcut::prelude::*;
@@ -91,31 +91,6 @@ fn sic_runs_on_noisy_device() {
     assert_eq!(run.report.downstream_settings, 4);
     let d = total_variation_distance(&run.distribution, &truth_of(&circuit));
     assert!(d < 0.35, "noisy SIC reconstruction off by {d}");
-}
-
-#[test]
-fn job_queue_and_rayon_agree() {
-    use qcut::device::executor::{run_parallel, Job, JobQueue};
-    let backend = IdealBackend::new(55);
-    let jobs: Vec<Job> = (0..6)
-        .map(|i| {
-            let (c, _) = GoldenAnsatz::new(5, i).build();
-            Job {
-                circuit: c,
-                shots: 500,
-                tag: i as usize,
-            }
-        })
-        .collect();
-    let a = run_parallel(&backend, &jobs);
-    let q = JobQueue::new(&backend).with_workers(2).run(jobs);
-    assert_eq!(a.results.len(), q.results.len());
-    for (x, y) in a.results.iter().zip(&q.results) {
-        assert_eq!(
-            x.as_ref().unwrap().counts.total(),
-            y.as_ref().unwrap().counts.total()
-        );
-    }
 }
 
 #[test]

@@ -2,17 +2,38 @@
 //! equivalence across all three execution paths, dedup accounting on
 //! dedup-bearing workloads, and detection-data reuse.
 
+#[path = "support/sequential.rs"]
+mod sequential;
+
 use qcut::cutting::golden::OnlineConfig;
 use qcut::cutting::jobgraph::{Channel, JobGraph};
-use qcut::cutting::pipeline::PostProcess;
+use qcut::cutting::pipeline::{CutRun, PostProcess};
 use qcut::prelude::*;
+use sequential::Sequential;
 
-fn options(shots: u64, parallel: bool) -> ExecutionOptions {
+fn options(shots: u64) -> ExecutionOptions {
     ExecutionOptions {
         shots_per_setting: shots,
-        parallel,
         ..Default::default()
     }
+}
+
+/// Runs the same request on `backend` and on the sequential reference of
+/// an equally-seeded twin: `(batched, sequential)`.
+fn batched_and_sequential<B: Backend>(
+    backend: impl Fn() -> B,
+    circuit: &Circuit,
+    cut: &CutSpec,
+    policy: GoldenPolicy,
+    options: &ExecutionOptions,
+) -> (CutRun, CutRun) {
+    let batched = CutExecutor::new(&backend())
+        .run(circuit, cut, policy.clone(), options)
+        .unwrap();
+    let sequential = CutExecutor::new(&Sequential(backend()))
+        .run(circuit, cut, policy, options)
+        .unwrap();
+    (batched, sequential)
 }
 
 /// A 3-qubit circuit whose cut is *not* golden (RX gives the cut qubit a Y
@@ -27,19 +48,13 @@ fn non_golden() -> (Circuit, CutSpec) {
 #[test]
 fn batched_and_sequential_eigenstate_runs_are_bit_identical() {
     let (circuit, cut) = GoldenAnsatz::new(5, 17).build();
-    let run = |parallel: bool| {
-        let backend = IdealBackend::new(99);
-        CutExecutor::new(&backend)
-            .run(
-                &circuit,
-                &cut,
-                GoldenPolicy::Disabled,
-                &options(3000, parallel),
-            )
-            .unwrap()
-    };
-    let par = run(true);
-    let seq = run(false);
+    let (par, seq) = batched_and_sequential(
+        || IdealBackend::new(99),
+        &circuit,
+        &cut,
+        GoldenPolicy::Disabled,
+        &options(3000),
+    );
     assert_eq!(par.distribution.values(), seq.distribution.values());
     assert_eq!(par.report.total_shots, seq.report.total_shots);
     assert_eq!(par.report.jobs_executed, seq.report.jobs_executed);
@@ -48,24 +63,16 @@ fn batched_and_sequential_eigenstate_runs_are_bit_identical() {
 #[test]
 fn batched_and_sequential_sic_runs_are_bit_identical() {
     let (circuit, cut) = GoldenAnsatz::new(5, 23).build();
-    let run = |parallel: bool| {
-        let backend = IdealBackend::new(7);
-        CutExecutor::new(&backend)
-            .run(
-                &circuit,
-                &cut,
-                GoldenPolicy::Disabled,
-                &ExecutionOptions {
-                    shots_per_setting: 3000,
-                    method: ReconstructionMethod::Sic,
-                    parallel,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-    };
-    let par = run(true);
-    let seq = run(false);
+    let (par, seq) = batched_and_sequential(
+        || IdealBackend::new(7),
+        &circuit,
+        &cut,
+        GoldenPolicy::Disabled,
+        &ExecutionOptions {
+            method: ReconstructionMethod::Sic,
+            ..options(3000)
+        },
+    );
     assert_eq!(par.distribution.values(), seq.distribution.values());
     // SIC plans 3 upstream + 4 SIC jobs, no eigenstate downstream ones.
     assert_eq!(par.report.jobs_planned, 7);
@@ -79,19 +86,13 @@ fn batched_and_sequential_online_detection_runs_are_bit_identical() {
         batch_shots: 3000,
         ..OnlineConfig::default()
     };
-    let run = |parallel: bool| {
-        let backend = IdealBackend::new(6);
-        CutExecutor::new(&backend)
-            .run(
-                &circuit,
-                &cut,
-                GoldenPolicy::DetectOnline(config),
-                &options(3000, parallel),
-            )
-            .unwrap()
-    };
-    let par = run(true);
-    let seq = run(false);
+    let (par, seq) = batched_and_sequential(
+        || IdealBackend::new(6),
+        &circuit,
+        &cut,
+        GoldenPolicy::DetectOnline(config),
+        &options(3000),
+    );
     assert_eq!(par.distribution.values(), seq.distribution.values());
     assert_eq!(par.report.detection_shots, seq.report.detection_shots);
 }
@@ -99,26 +100,17 @@ fn batched_and_sequential_online_detection_runs_are_bit_identical() {
 #[test]
 fn batched_and_sequential_runs_match_on_noisy_backend() {
     let (circuit, cut) = GoldenAnsatz::new(5, 11).build();
-    let run = |parallel: bool| {
-        let backend = presets::ibm_5q(13);
-        CutExecutor::new(&backend)
-            .run(
-                &circuit,
-                &cut,
-                GoldenPolicy::Disabled,
-                &ExecutionOptions {
-                    shots_per_setting: 800,
-                    postprocess: PostProcess::Raw,
-                    parallel,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-    };
-    assert_eq!(
-        run(true).distribution.values(),
-        run(false).distribution.values()
+    let (par, seq) = batched_and_sequential(
+        || presets::ibm_5q(13),
+        &circuit,
+        &cut,
+        GoldenPolicy::Disabled,
+        &ExecutionOptions {
+            postprocess: PostProcess::Raw,
+            ..options(800)
+        },
     );
+    assert_eq!(par.distribution.values(), seq.distribution.values());
 }
 
 #[test]
@@ -138,7 +130,7 @@ fn online_detection_data_is_reused_by_the_gather() {
             &circuit,
             &cut,
             GoldenPolicy::DetectOnline(config),
-            &options(4000, true),
+            &options(4000),
         )
         .unwrap();
     let r = &run.report;
@@ -202,7 +194,9 @@ fn repeated_subcircuit_workload_dedups_across_consumers() {
     }
     assert_eq!(g.jobs_planned(), 12);
     assert_eq!(g.num_nodes(), 3);
-    let run = g.execute(&IdealBackend::new(1), true).unwrap();
+    let run = g
+        .execute(&IdealBackend::new(1), &RetryPolicy::default())
+        .unwrap();
     assert_eq!(run.stats.jobs_executed, 3);
     assert_eq!(run.stats.shots_executed, 3000);
     assert_eq!(run.stats.shots_saved, 9000);
@@ -240,7 +234,7 @@ fn run_report_dedup_fields_are_consistent_across_policies() {
         GoldenPolicy::detect_exact(),
     ] {
         let run = executor
-            .run(&circuit, &cut, policy, &options(1000, true))
+            .run(&circuit, &cut, policy, &options(1000))
             .unwrap();
         let r = &run.report;
         assert!(r.jobs_executed <= r.jobs_planned, "{r:?}");

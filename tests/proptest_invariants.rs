@@ -5,6 +5,9 @@
 //! reconstruction equals the uncut distribution — standard plan and
 //! golden plan alike (on designed-golden circuits).
 
+#[path = "support/sequential.rs"]
+mod sequential;
+
 use proptest::prelude::*;
 use qcut::circuit::ansatz::MultiCutAnsatz;
 use qcut::circuit::random::{random_circuit_with, random_real_circuit_with, RandomCircuitConfig};
@@ -14,6 +17,7 @@ use qcut::cutting::reconstruction::{exact_reconstruct, exact_upstream_tensor};
 use qcut::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sequential::Sequential;
 
 /// A random cuttable circuit: upstream block on qubits `0..=cut`, downstream
 /// on `cut..n`, single cut on the shared wire. Entangling chains keep each
@@ -189,7 +193,7 @@ proptest! {
         let plan = BasisPlan::standard(1);
         let experiment = qcut::cutting::tomography::ExperimentPlan::build(&frags, &plan);
         let backend = IdealBackend::new(seed);
-        let data = qcut::cutting::execution::gather(&backend, &experiment, 256, true).unwrap();
+        let data = qcut::cutting::execution::gather(&backend, &experiment, &experiment.uniform_schedule(256), &RetryPolicy::default()).unwrap();
         let recon = qcut::cutting::reconstruction::reconstruct(&frags, &plan, &data);
         prop_assert!(
             (recon.total_mass() - 1.0).abs() < 1e-9,
@@ -395,9 +399,9 @@ proptest! {
         prop_assert_eq!(on.report.shots_saved, 0);
     }
 
-    /// Batched (parallel) execution is bit-identical to the sequential
-    /// path for both downstream schemes — the backends assign per-job RNG
-    /// streams by batch position, not scheduling order.
+    /// Batched execution is bit-identical to the sequential reference for
+    /// both downstream schemes — the backends assign per-job RNG streams by
+    /// batch position, not scheduling order.
     #[test]
     fn batched_execution_equals_sequential(seed in 0u64..2000) {
         let (circuit, cut) = GoldenAnsatz::new(5, seed).build();
@@ -406,23 +410,19 @@ proptest! {
         } else {
             ReconstructionMethod::Sic
         };
-        let run = |parallel: bool| {
-            let backend = IdealBackend::new(seed.wrapping_mul(31) ^ 7);
-            CutExecutor::new(&backend)
-                .run(
-                    &circuit,
-                    &cut,
-                    GoldenPolicy::Disabled,
-                    &ExecutionOptions {
-                        shots_per_setting: 256,
-                        method,
-                        parallel,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
+        let options = ExecutionOptions {
+            shots_per_setting: 256,
+            method,
+            ..Default::default()
         };
-        prop_assert_eq!(run(true).distribution.values(), run(false).distribution.values());
+        let backend = || IdealBackend::new(seed.wrapping_mul(31) ^ 7);
+        let batched = CutExecutor::new(&backend())
+            .run(&circuit, &cut, GoldenPolicy::Disabled, &options)
+            .unwrap();
+        let sequential = CutExecutor::new(&Sequential(backend()))
+            .run(&circuit, &cut, GoldenPolicy::Disabled, &options)
+            .unwrap();
+        prop_assert_eq!(batched.distribution.values(), sequential.distribution.values());
     }
 
     /// `GoldenPolicy::ProveStatic` resolves its plan symbolically — zero
@@ -574,7 +574,7 @@ proptest! {
         let faulty = BackendPool::new(PlacementPolicy::Pinned(vec![0]))
             .with_backend(FaultInjectingBackend::new(member(seed)).fail_circuit(&nodes[p], 1))
             .with_member(member(seed ^ 0xBEEF));
-        let run = build(&nodes).execute(&faulty, true).unwrap();
+        let run = build(&nodes).execute(&faulty, &RetryPolicy::default()).unwrap();
         prop_assert_eq!(run.stats.jobs_failed_over, 1);
         prop_assert_eq!(run.stats.shots_lost, 0);
 
@@ -583,7 +583,7 @@ proptest! {
         let reference = BackendPool::new(PlacementPolicy::Pinned(pins))
             .with_member(member(seed))
             .with_member(member(seed ^ 0xBEEF));
-        let want = build(&nodes).execute(&reference, true).unwrap();
+        let want = build(&nodes).execute(&reference, &RetryPolicy::default()).unwrap();
         prop_assert_eq!(want.stats.jobs_failed_over, 0);
         for i in 0..k as u64 {
             prop_assert_eq!(

@@ -1,5 +1,11 @@
-//! Workspace automation tasks. The only task today is `lint`: the
-//! in-tree source-hygiene linter CI runs as `cargo run -p xtask -- lint`.
+//! Workspace automation tasks, both run by CI:
+//!
+//! * `cargo run -p xtask -- lint` — the in-tree source-hygiene linter;
+//! * `cargo run -p xtask -- loc` — the non-test library line count: every
+//!   line of `crates/*/src` and the facade `src` outside `#[cfg(test)]`
+//!   items (skipped exactly as the lint skips them), blank lines and
+//!   comments included. Simplification work reports its net change in
+//!   this number.
 //!
 //! The lint is a text/line-based pass over the workspace's library
 //! sources (`crates/*/src`, the facade `src`, and `xtask/src` itself; the
@@ -35,12 +41,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
+        Some("loc") => loc(),
         Some(other) => {
-            eprintln!("unknown task `{other}`; available tasks: lint");
+            eprintln!("unknown task `{other}`; available tasks: lint, loc");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo run -p xtask -- lint");
+            eprintln!("usage: cargo run -p xtask -- <lint|loc>");
             ExitCode::FAILURE
         }
     }
@@ -146,9 +153,34 @@ fn lint() -> ExitCode {
     }
 }
 
-/// Directories holding library sources to lint (vendored stubs exempt).
-fn source_dirs(root: &Path) -> Vec<PathBuf> {
-    let mut dirs = vec![root.join("src"), root.join("xtask/src")];
+/// Prints the non-test line count of the library sources.
+fn loc() -> ExitCode {
+    let root = workspace_root();
+    let mut sources: Vec<PathBuf> = Vec::new();
+    for dir in library_dirs(&root) {
+        collect_rs_files(&dir, &mut sources);
+    }
+    let mut lines = 0;
+    for path in &sources {
+        match fs::read_to_string(path) {
+            Ok(text) => lines += non_test_lines(&text).len(),
+            Err(e) => {
+                eprintln!("xtask loc: cannot read {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    println!(
+        "xtask loc: {lines} non-test library lines in {} files (crates/*/src, src)",
+        sources.len()
+    );
+    ExitCode::SUCCESS
+}
+
+/// Directories holding library sources: the facade `src` and every
+/// `crates/*/src` (vendored stubs excluded).
+fn library_dirs(root: &Path) -> Vec<PathBuf> {
+    let mut dirs = vec![root.join("src")];
     if let Ok(entries) = fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
             let src = entry.path().join("src");
@@ -157,6 +189,15 @@ fn source_dirs(root: &Path) -> Vec<PathBuf> {
             }
         }
     }
+    dirs.sort();
+    dirs
+}
+
+/// Directories holding sources to lint: the library sources plus
+/// `xtask/src` itself.
+fn source_dirs(root: &Path) -> Vec<PathBuf> {
+    let mut dirs = library_dirs(root);
+    dirs.push(root.join("xtask/src"));
     dirs.sort();
     dirs
 }
@@ -249,6 +290,25 @@ fn load_allowlist(path: &Path) -> Result<BTreeMap<(String, String), usize>, Allo
 /// Line numbers are 1-based.
 fn scan_source(text: &str) -> Vec<(usize, &'static str)> {
     let mut hits = Vec::new();
+    for (line_no, code) in non_test_lines(text) {
+        for token in FORBIDDEN {
+            let mut rest = code.as_str();
+            while let Some(pos) = rest.find(token) {
+                // `panic!(` must not also fire on e.g. `core::panic!(` docs
+                // masked already; count every remaining occurrence.
+                hits.push((line_no, token));
+                rest = &rest[pos + token.len()..];
+            }
+        }
+    }
+    hits
+}
+
+/// The lines of one source file outside `#[cfg(test)]` items, as
+/// `(line_number, code)` with comments and literal contents masked (see
+/// [`mask_non_code`]). Line numbers are 1-based.
+fn non_test_lines(text: &str) -> Vec<(usize, String)> {
+    let mut lines = Vec::new();
     // Test-region skipping: after `#[cfg(test)]`, ignore everything until
     // the braces of the annotated item balance out.
     let mut skipping = false; // inside a #[cfg(test)] item
@@ -286,17 +346,9 @@ fn scan_source(text: &str) -> Vec<(usize, &'static str)> {
             }
             continue;
         }
-        for token in FORBIDDEN {
-            let mut rest = code.as_str();
-            while let Some(pos) = rest.find(token) {
-                // `panic!(` must not also fire on e.g. `core::panic!(` docs
-                // masked already; count every remaining occurrence.
-                hits.push((i + 1, token));
-                rest = &rest[pos + token.len()..];
-            }
-        }
+        lines.push((i + 1, code));
     }
-    hits
+    lines
 }
 
 /// Masks comments and string/char-literal contents of one line with
@@ -438,6 +490,13 @@ mod tests {
     fn unwrap_or_else_is_not_unwrap() {
         let src = "let v = x.unwrap_or_else(Vec::new);\nlet w = y.unwrap_or(0);\n";
         assert!(scan_source(src).is_empty());
+    }
+
+    #[test]
+    fn loc_counts_every_line_outside_test_items() {
+        let src = "//! Doc.\n\nfn lib() {}\n#[cfg(test)]\n#[path = \"x.rs\"]\nmod x;\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn after() {}\n";
+        let lines: Vec<usize> = non_test_lines(src).iter().map(|&(n, _)| n).collect();
+        assert_eq!(lines, vec![1, 2, 3, 11]);
     }
 
     #[test]
