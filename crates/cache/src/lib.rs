@@ -159,8 +159,8 @@ impl CacheKey {
 pub struct WarmCache {
     config: CacheConfig,
     inner: Mutex<HistogramCache>,
-    /// Set when opening found a file it could not load; drained once into a
-    /// run report diagnostic, after which the cache operates cold.
+    /// Set when opening found a file it could not load (the cache then
+    /// operates cold); cleared once a persist replaces that file.
     degraded: Mutex<Option<String>>,
 }
 
@@ -168,8 +168,8 @@ impl WarmCache {
     /// Opens a cache. When the config names a path whose file exists, the
     /// store is loaded from it; a file that fails to load (truncated,
     /// corrupt, wrong version) yields a *cold* cache plus a degradation
-    /// notice retrievable via [`WarmCache::take_degradation`] — never an
-    /// error and never a panic.
+    /// notice readable via [`WarmCache::degradation`] — never an error and
+    /// never a panic.
     pub fn open(config: CacheConfig) -> WarmCache {
         let mut degraded = None;
         let store = match &config.path {
@@ -206,10 +206,12 @@ impl WarmCache {
         &self.config
     }
 
-    /// Takes the load-degradation notice, if opening fell back to a cold
-    /// start. Returns `Some` at most once.
-    pub fn take_degradation(&self) -> Option<String> {
-        self.degraded.lock().expect("cache lock poisoned").take()
+    /// The load-degradation notice, while the configured file is one that
+    /// opening could not load (so this cache started cold). `None` once a
+    /// successful [`WarmCache::persist`] has replaced the file. Static
+    /// analysis reports it as lint QA403.
+    pub fn degradation(&self) -> Option<String> {
+        self.degraded.lock().expect("cache lock poisoned").clone()
     }
 
     /// Looks up the cumulative histogram for `circuit` under `key`,
@@ -245,7 +247,8 @@ impl WarmCache {
 
     /// Writes the store to the configured path (no-op without one). The
     /// write goes through a sibling temp file and an atomic rename so a
-    /// crash mid-persist cannot corrupt an existing cache file.
+    /// crash mid-persist cannot corrupt an existing cache file. Success
+    /// clears the [`WarmCache::degradation`] notice: the file now loads.
     pub fn persist(&self) -> Result<(), CacheFileError> {
         let Some(path) = &self.config.path else {
             return Ok(());
@@ -256,7 +259,9 @@ impl WarmCache {
         };
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, &bytes).map_err(|e| CacheFileError::Io(e.to_string()))?;
-        std::fs::rename(&tmp, path).map_err(|e| CacheFileError::Io(e.to_string()))
+        std::fs::rename(&tmp, path).map_err(|e| CacheFileError::Io(e.to_string()))?;
+        *self.degraded.lock().expect("cache lock poisoned") = None;
+        Ok(())
     }
 }
 
@@ -318,6 +323,6 @@ mod tests {
             std::env::temp_dir().join("qcut-cache-test-does-not-exist.qwc"),
         ));
         assert_eq!(cache.entries(), 0);
-        assert!(cache.take_degradation().is_none());
+        assert!(cache.degradation().is_none());
     }
 }

@@ -60,7 +60,7 @@ proptest! {
 
         let reader = WarmCache::open(CacheConfig::at_path(&path));
         std::fs::remove_file(&path).ok();
-        prop_assert!(reader.take_degradation().is_none());
+        prop_assert!(reader.degradation().is_none());
         let mut reloaded = reader
             .lookup(&key, &circuit)
             .expect("stored entry survives the round trip");

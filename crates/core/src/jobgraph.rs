@@ -460,11 +460,6 @@ impl JobGraph {
         }
     }
 
-    /// Whether structural dedup is enabled.
-    pub fn dedup_enabled(&self) -> bool {
-        self.dedup
-    }
-
     /// Jobs registered so far (fan-out edges, not unique circuits).
     pub fn jobs_planned(&self) -> usize {
         self.jobs_planned
@@ -549,7 +544,7 @@ impl JobGraph {
 
     /// Per-node static view: each unique circuit with its consumer
     /// fan-out `(key, requested shots)`, in insertion order. What the
-    /// graph-layer lints of [`crate::analysis`] inspect without
+    /// graph-layer checks of [`crate::analysis`] inspect without
     /// executing anything.
     pub fn node_jobs(&self) -> impl Iterator<Item = (&Circuit, &[(ConsumerKey, u64)])> + '_ {
         self.nodes
@@ -666,6 +661,18 @@ impl JobGraph {
         backend: &B,
         retry: &RetryPolicy,
     ) -> Result<GraphRun, Box<GraphFailure>> {
+        // The planner keys every consumer to one circuit: a key on two
+        // nodes would merge different distributions into one stream.
+        debug_assert!(
+            {
+                let mut keys = std::collections::HashSet::new();
+                self.nodes
+                    .iter()
+                    .flat_map(|n| &n.consumers)
+                    .all(|&(key, _)| keys.insert(key))
+            },
+            "a consumer key sits on two nodes; their histograms would merge"
+        );
         let pool = backend.as_pool();
         let members = pool.map_or(1, BackendPool::len);
         let assignment = match pool {
@@ -906,6 +913,16 @@ mod tests {
         let b = run.counts(&(Channel::UpstreamMeas, 1)).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.total(), 500);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "consumer key sits on two nodes")]
+    fn execute_rejects_one_consumer_key_fed_by_two_circuits() {
+        let mut g = JobGraph::new();
+        g.add_job(bell(), (Channel::UpstreamMeas, 7), 100);
+        g.add_job(ghz(), (Channel::UpstreamMeas, 7), 100);
+        let _ = g.execute(&IdealBackend::new(0), &RetryPolicy::default());
     }
 
     #[test]

@@ -44,9 +44,10 @@
 //!   error vs degrade to a renormalized surviving plan);
 //! * [`report`] — the accounting every run returns ([`report::RunReport`]);
 //! * [`analysis`] — the static lint pass ([`analysis::analyze`]) every
-//!   run is gated on: coded diagnostics over the circuit, the cut, the
-//!   predicted schedule, the planned job graph, and the warm-start cache
-//!   configuration, before any shot;
+//!   run is gated on: one table of coded checks over the circuit, the
+//!   cut, the predicted schedule, the planned job graph, the warm-start
+//!   cache and fault-tolerance configuration, and the backend pool,
+//!   before any shot;
 //! * [`pipeline`] — the one-call API: [`pipeline::CutExecutor`], with
 //!   optional cross-run warm-start caching
 //!   ([`pipeline::ExecutionOptions::cache`], backed by `qcut-cache`).
@@ -110,8 +111,7 @@ pub mod prelude {
         ShotSchedule,
     };
     pub use crate::analysis::{
-        analyze, analyze_with_backend, lint_graph, registry, AnalysisConfig, AnalysisContext,
-        Diagnostic, Diagnostics, Layer, Lint, LintCode, Severity,
+        analyze, analyze_with_backend, AnalysisConfig, Diagnostic, Diagnostics, LintCode, Severity,
     };
     pub use crate::basis::{BasisPlan, MeasBasis};
     pub use crate::cut::{CutError, CutLocation, CutSpec};

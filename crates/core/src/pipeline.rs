@@ -38,7 +38,7 @@ use crate::golden::{
     resolve_static_policy, GoldenPolicy, GoldenVerdict, OnlineConfig, OnlineDetector,
 };
 use crate::jobgraph::{Channel, ConsumerKey, GraphFailure, GraphStats, JobGraph, NodeFailure};
-use crate::planner::{add_downstream_jobs, add_sic_jobs, add_upstream_jobs, uncut_graph};
+use crate::planner::{gather_graph, uncut_graph};
 use crate::reconstruction::{contract, downstream_tensor, upstream_tensor};
 use crate::report::{FailureRecord, RunReport, UncutReport};
 use crate::retry::{FailurePolicy, RetryPolicy};
@@ -349,19 +349,6 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             diagnostics = diags.into_vec();
         }
 
-        // A cache that failed to load (corrupt/truncated/foreign file)
-        // silently became a cold start at open time; surface that as a
-        // typed runtime warning so sweeps notice the lost warm state.
-        if let Some(cache) = self.warm_cache(options) {
-            if let Some(why) = cache.take_degradation() {
-                diagnostics.push(Diagnostic {
-                    code: LintCode::CacheDegraded,
-                    severity: Severity::Warn,
-                    message: format!("warm-start cache degraded to a cold start: {why}"),
-                });
-            }
-        }
-
         let fragments = Fragmenter::fragment(circuit, cut)?;
 
         // Resolve the golden policy. Online detection runs its sequential
@@ -461,14 +448,17 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             );
             if cache.config().path.is_some() {
                 if let Err(e) = cache.persist() {
-                    diagnostics.push(Diagnostic {
-                        code: LintCode::CacheDegraded,
-                        severity: Severity::Warn,
-                        message: format!(
-                            "warm-start cache failed to persist ({e}); the next \
-                             run starts cold"
-                        ),
-                    });
+                    let severity = options.analysis.severity(LintCode::CacheDegraded);
+                    if severity != Severity::Allow {
+                        diagnostics.push(Diagnostic {
+                            code: LintCode::CacheDegraded,
+                            severity,
+                            message: format!(
+                                "warm-start cache failed to persist ({e}); the next \
+                                 run starts cold"
+                            ),
+                        });
+                    }
                 }
             }
         }
@@ -720,29 +710,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         warm: Option<&WarmCache>,
         failures: &mut Vec<NodeFailure>,
     ) -> Result<GatherRound, PipelineError> {
-        let mut graph = if options.dedup {
-            JobGraph::new()
-        } else {
-            JobGraph::without_dedup()
-        };
-        add_upstream_jobs(&mut graph, fragments, plan, &sched.upstream);
-        match options.method {
-            ReconstructionMethod::Eigenstate => {
-                add_downstream_jobs(&mut graph, fragments, plan, &sched.downstream);
-            }
-            ReconstructionMethod::Sic => {
-                add_sic_jobs(
-                    &mut graph,
-                    &fragments.downstream,
-                    fragments.num_cuts,
-                    &sched.downstream,
-                );
-                assert!(
-                    !graph.has_channel(Channel::DownstreamPrep),
-                    "SIC planning must never schedule eigenstate downstream jobs"
-                );
-            }
-        }
+        let mut graph = gather_graph(fragments, plan, options, sched);
         for (circuit, counts) in seeds.values() {
             graph.seed_counts(circuit, counts);
         }
@@ -1006,24 +974,14 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
     }
 
     /// Runs the uncut circuit directly (the reference arm of Fig. 3),
-    /// routed through the engine like every other execution.
+    /// routed through the engine like every other execution under the
+    /// default single-attempt [`RetryPolicy`]. There is no degraded mode
+    /// for the reference arm — the single histogram either arrives or the
+    /// run fails with the typed [`PipelineError::Execution`].
     pub fn run_uncut(&self, circuit: &Circuit, shots: u64) -> Result<UncutRun, PipelineError> {
-        self.run_uncut_with(circuit, shots, &RetryPolicy::default())
-    }
-
-    /// Like [`CutExecutor::run_uncut`] but honoring a [`RetryPolicy`].
-    /// There is no degraded mode for the reference arm — the single
-    /// histogram either arrives or the run fails with the typed
-    /// [`PipelineError::Execution`].
-    pub fn run_uncut_with(
-        &self,
-        circuit: &Circuit,
-        shots: u64,
-        retry: &RetryPolicy,
-    ) -> Result<UncutRun, PipelineError> {
         let started = Instant::now();
         let graph = uncut_graph(circuit, shots);
-        let mut run = graph.execute(self.backend, retry)?;
+        let mut run = graph.execute(self.backend, &RetryPolicy::default())?;
         let counts = run
             .take_channel(Channel::Uncut)
             .remove(&0)

@@ -10,6 +10,8 @@
 //! * eigenstate gather = upstream jobs + downstream jobs;
 //! * SIC gather = upstream jobs + SIC jobs (no downstream eigenstate job is
 //!   ever constructed);
+//! * `gather_graph` builds either gather for the pipeline and for static
+//!   analysis, so both plan the same graph;
 //! * online detection registers its per-round jobs inline in
 //!   [`crate::pipeline`] (it needs the built circuits for the reuse cache)
 //!   and seeds the measured counts back into the gather graph;
@@ -41,9 +43,11 @@
 //! assert!(graph.prefix_profile().gates_saved() > 0);
 //! ```
 
+use crate::allocation::ShotSchedule;
 use crate::basis::{encode_meas, encode_prep, BasisPlan};
 use crate::fragment::{Fragment, Fragments};
 use crate::jobgraph::{Channel, ConsumerKey, JobGraph};
+use crate::pipeline::{ExecutionOptions, ReconstructionMethod};
 use crate::sic::{all_sic_settings, build_sic_circuit, encode_sic};
 use crate::tomography::{build_downstream_circuit, build_upstream_circuit};
 use qcut_circuit::circuit::Circuit;
@@ -173,6 +177,39 @@ pub fn add_sic_jobs(graph: &mut JobGraph, downstream: &Fragment, num_cuts: usize
         })
         .collect();
     add_trie_local(graph, jobs);
+}
+
+/// The graph of one gather round for `sched`: upstream measurement jobs
+/// plus the downstream half `options.method` reads (eigenstate or SIC
+/// preparations — the SIC path never builds an eigenstate downstream
+/// job), deduplicated when `options.dedup` is set. The pipeline executes
+/// this graph; static analysis only inspects it.
+pub(crate) fn gather_graph(
+    fragments: &Fragments,
+    plan: &BasisPlan,
+    options: &ExecutionOptions,
+    sched: &ShotSchedule,
+) -> JobGraph {
+    let mut graph = if options.dedup {
+        JobGraph::new()
+    } else {
+        JobGraph::without_dedup()
+    };
+    add_upstream_jobs(&mut graph, fragments, plan, &sched.upstream);
+    match options.method {
+        ReconstructionMethod::Eigenstate => {
+            add_downstream_jobs(&mut graph, fragments, plan, &sched.downstream);
+        }
+        ReconstructionMethod::Sic => {
+            add_sic_jobs(
+                &mut graph,
+                &fragments.downstream,
+                fragments.num_cuts,
+                &sched.downstream,
+            );
+        }
+    }
+    graph
 }
 
 /// The single-job graph for an uncut reference run.
@@ -343,6 +380,57 @@ mod tests {
                 build(MeasBasis::Y)
             ]
         );
+    }
+
+    #[test]
+    fn gather_graphs_key_every_consumer_to_one_node_with_demand() {
+        use crate::allocation::{schedule_for_plan, schedule_sic, ShotAllocation};
+        use crate::analysis::minimal_golden_plan;
+        use qcut_circuit::ansatz::MultiCutAnsatz;
+        use std::collections::HashSet;
+        for k in 1..=2usize {
+            let (c, spec) = MultiCutAnsatz::new(k, 11).build();
+            let frags = Fragmenter::fragment(&c, &spec).unwrap();
+            let plans = [
+                BasisPlan::standard(k),
+                BasisPlan::with_neglected(vec![Some(Pauli::Y); k]),
+                minimal_golden_plan(k),
+            ];
+            for method in [ReconstructionMethod::Eigenstate, ReconstructionMethod::Sic] {
+                for plan in &plans {
+                    for allocation in [
+                        ShotAllocation::Uniform {
+                            shots_per_setting: 1000,
+                        },
+                        ShotAllocation::WeightedByUsage { total: 20_000 },
+                    ] {
+                        let sched = match method {
+                            ReconstructionMethod::Eigenstate => schedule_for_plan(plan, allocation),
+                            ReconstructionMethod::Sic => schedule_sic(plan, allocation),
+                        }
+                        .unwrap();
+                        let options = ExecutionOptions {
+                            method,
+                            ..Default::default()
+                        };
+                        let g = gather_graph(&frags, plan, &options, &sched);
+                        let case =
+                            format!("K={k} {method:?} {:?} {allocation:?}", plan.neglected());
+                        let mut keys = HashSet::new();
+                        for (_, consumers) in g.node_jobs() {
+                            assert!(
+                                consumers.iter().any(|&(_, shots)| shots > 0),
+                                "{case}: a node without demand"
+                            );
+                            for &(key, _) in consumers {
+                                assert!(keys.insert(key), "{case}: {key:?} on two nodes");
+                            }
+                        }
+                        assert_eq!(keys.len(), g.jobs_planned(), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

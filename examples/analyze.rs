@@ -18,13 +18,11 @@ fn main() {
     println!("healthy workload: {diags}\n");
 
     // 2. Promote the informational lints (default Allow) to Warn to see
-    //    the structural reports: plan coverage, golden-structure hints,
-    //    and the predicted prefix-sharing ratio of the planned job graph.
+    //    the structural reports: plan coverage and golden-structure hints.
     let verbose = ExecutionOptions {
         analysis: AnalysisConfig::default()
             .with_override(LintCode::GoldenStructure, Severity::Warn)
-            .with_override(LintCode::NeglectCoverage, Severity::Warn)
-            .with_override(LintCode::PrefixSharing, Severity::Warn),
+            .with_override(LintCode::NeglectCoverage, Severity::Warn),
         ..Default::default()
     };
     println!("promoted reports:");

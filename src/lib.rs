@@ -81,8 +81,7 @@ pub mod prelude {
     pub use qcut_circuit::tableau::{StabilizerGenerator, StabilizerTableau};
     pub use qcut_core::allocation::{ShotAllocation, ShotSchedule};
     pub use qcut_core::analysis::{
-        analyze, analyze_with_backend, lint_graph, AnalysisConfig, Diagnostic, Diagnostics,
-        LintCode, Severity,
+        analyze, analyze_with_backend, AnalysisConfig, Diagnostic, Diagnostics, LintCode, Severity,
     };
     pub use qcut_core::basis::MeasBasis;
     pub use qcut_core::cut::{CutLocation, CutSpec};

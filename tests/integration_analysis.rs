@@ -5,7 +5,7 @@
 use qcut::circuit::ansatz::MultiCutAnsatz;
 use qcut::circuit::circuit::Instruction;
 use qcut::cutting::analysis::{
-    analyze, lint_graph, registry, AnalysisConfig, Diagnostics, Layer, LintCode, Severity,
+    analyze, analyze_with_backend, AnalysisConfig, Diagnostics, LintCode, Severity,
 };
 use qcut::cutting::error::PipelineError;
 use qcut::cutting::jobgraph::{Channel, JobGraph};
@@ -331,22 +331,9 @@ fn qa204_silent_when_the_standard_plan_is_funded() {
 }
 
 // ---------------------------------------------------------------------
-// QA301 ConsumerAliasing
+// QA301's invariant — one circuit per consumer key — is a debug assertion
+// of `JobGraph::execute`; graphs with distinct keys execute.
 // ---------------------------------------------------------------------
-
-#[test]
-fn qa301_fires_when_two_circuits_feed_one_consumer_key() {
-    let mut a = Circuit::new(1);
-    a.h(0);
-    let mut b = Circuit::new(1);
-    b.x(0);
-    let mut graph = JobGraph::new();
-    graph.add_job(a, (Channel::UpstreamMeas, 7), 100);
-    graph.add_job(b, (Channel::UpstreamMeas, 7), 100); // same key, different circuit
-    let diags = lint_graph(&graph, &AnalysisConfig::default());
-    assert_eq!(count(&diags, LintCode::ConsumerAliasing), 1);
-    assert!(diags.has_deny());
-}
 
 #[test]
 fn qa301_silent_on_distinct_keys() {
@@ -357,102 +344,71 @@ fn qa301_silent_on_distinct_keys() {
     let mut graph = JobGraph::new();
     graph.add_job(a, (Channel::UpstreamMeas, 7), 100);
     graph.add_job(b, (Channel::UpstreamMeas, 8), 100);
-    let diags = lint_graph(&graph, &AnalysisConfig::default());
-    assert!(!diags.contains(LintCode::ConsumerAliasing));
+    let run = graph
+        .execute(&IdealBackend::new(1), &RetryPolicy::default())
+        .expect("distinct keys execute");
+    assert_eq!(
+        run.counts(&(Channel::UpstreamMeas, 7)).map(|c| c.total()),
+        Some(100)
+    );
+    assert_eq!(
+        run.counts(&(Channel::UpstreamMeas, 8)).map(|c| c.total()),
+        Some(100)
+    );
 }
 
 // ---------------------------------------------------------------------
-// QA302 OrphanNode
-// ---------------------------------------------------------------------
-
-#[test]
-fn qa302_fires_on_zero_demand_nodes() {
-    let mut a = Circuit::new(1);
-    a.h(0);
-    let mut graph = JobGraph::new();
-    graph.add_job(a, (Channel::UpstreamMeas, 1), 0);
-    let diags = lint_graph(&graph, &AnalysisConfig::default());
-    assert_eq!(count(&diags, LintCode::OrphanNode), 1);
-    assert!(!diags.has_deny(), "QA302 is warn-level");
-}
-
-#[test]
-fn qa302_silent_when_every_node_has_demand() {
-    let mut a = Circuit::new(1);
-    a.h(0);
-    let mut graph = JobGraph::new();
-    graph.add_job(a, (Channel::UpstreamMeas, 1), 50);
-    let diags = lint_graph(&graph, &AnalysisConfig::default());
-    assert!(!diags.contains(LintCode::OrphanNode));
-}
-
-// ---------------------------------------------------------------------
-// QA303 MissedDedup
-// ---------------------------------------------------------------------
-
-#[test]
-fn qa303_fires_on_identical_circuits_with_dedup_off() {
-    let mut a = Circuit::new(1);
-    a.h(0);
-    let mut graph = JobGraph::without_dedup();
-    graph.add_job(a.clone(), (Channel::UpstreamMeas, 1), 100);
-    graph.add_job(a, (Channel::UpstreamMeas, 2), 100);
-    let diags = lint_graph(&graph, &AnalysisConfig::default());
-    assert_eq!(count(&diags, LintCode::MissedDedup), 1);
-    assert!(diags
-        .iter()
-        .any(|d| d.code == LintCode::MissedDedup && d.message.contains("identical")));
-}
-
-#[test]
-fn qa303_silent_when_dedup_merged_the_pair() {
-    let mut a = Circuit::new(1);
-    a.h(0);
-    let mut graph = JobGraph::new();
-    graph.add_job(a.clone(), (Channel::UpstreamMeas, 1), 100);
-    graph.add_job(a, (Channel::UpstreamMeas, 2), 100);
-    assert_eq!(graph.num_nodes(), 1, "dedup merged the duplicates");
-    let diags = lint_graph(&graph, &AnalysisConfig::default());
-    assert!(!diags.contains(LintCode::MissedDedup));
-}
-
-// ---------------------------------------------------------------------
-// QA304 PrefixSharing (default Allow)
-// ---------------------------------------------------------------------
-
-#[test]
-fn qa304_reports_sharing_ratio_when_promoted() {
-    let (circuit, cut) = GoldenAnsatz::new(5, 24).build();
-    let diags = analyze(&circuit, &cut, &promoting(LintCode::PrefixSharing));
-    let report = diags
-        .iter()
-        .find(|d| d.code == LintCode::PrefixSharing)
-        .expect("planned graph exists for a valid workload");
-    assert!(report.message.contains("unique jobs"), "{report}");
-}
-
-#[test]
-fn qa304_suppressed_by_default() {
-    let (circuit, cut) = GoldenAnsatz::new(5, 24).build();
-    let diags = analyze(&circuit, &cut, &default_options());
-    assert!(!diags.contains(LintCode::PrefixSharing));
-}
-
-// ---------------------------------------------------------------------
-// Registry and severity plumbing.
+// Every pipeline layer — circuit, cut, schedule, planned graph — has a
+// check that fires on a workload misconfigured at that layer.
 // ---------------------------------------------------------------------
 
 #[test]
 fn registry_spans_all_four_layers() {
-    let lints = registry();
-    for layer in [Layer::Circuit, Layer::Cut, Layer::Schedule, Layer::Graph] {
-        assert!(
-            lints.iter().any(|l| l.layer() == layer),
-            "no lint registered for {layer:?}"
-        );
-    }
-    assert_eq!(lints.len(), LintCode::ALL.len());
+    use std::time::Duration;
+
+    let mut idle = Circuit::new(3);
+    idle.h(0);
+    idle.cx(0, 1);
+    let circuit = analyze(&idle, &CutSpec::single(0, 0), &default_options());
+    assert!(
+        circuit.contains(LintCode::IdleQubit),
+        "circuit layer:\n{circuit}"
+    );
+
+    let (golden, golden_cut) = GoldenAnsatz::new(5, 20).build();
+    let cut = analyze(&golden, &CutSpec::single(0, 99), &default_options());
+    assert!(cut.contains(LintCode::InvalidCut), "cut layer:\n{cut}");
+
+    let budget = ExecutionOptions::with_allocation(ShotAllocation::TotalBudget { total: 4 });
+    let schedule = analyze(&golden, &golden_cut, &budget);
+    assert!(
+        schedule.contains(LintCode::StandardPlanStarved),
+        "schedule layer:\n{schedule}"
+    );
+
+    let doomed = ExecutionOptions {
+        retry: RetryPolicy {
+            per_job_timeout: Some(Duration::from_nanos(1)),
+            ..RetryPolicy::default()
+        },
+        ..Default::default()
+    };
+    let backend = IdealBackend::new(1).with_timing(TimingModel::ibm_like());
+    let graph = analyze_with_backend(&golden, &golden_cut, &doomed, &backend);
+    assert!(
+        graph.contains(LintCode::TimeoutBelowJobDuration),
+        "graph layer:\n{graph}"
+    );
+
+    let mut ids: Vec<&str> = LintCode::ALL.iter().map(|c| c.as_str()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), LintCode::ALL.len());
 }
+
+// ---------------------------------------------------------------------
+// Severity plumbing.
+// ---------------------------------------------------------------------
 
 #[test]
 fn demoting_a_deny_lets_the_finding_become_a_warning() {
@@ -590,4 +546,261 @@ fn every_example_workload_passes_analyze_with_zero_warnings() {
         let diags = analyze(circuit, cut, &default_options());
         assert!(diags.is_clean(), "{name} must lint clean, found:\n{diags}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Diagnostic order: every code promoted, the misconfigured workloads
+// above, the exact (code, severity) sequence.
+// ---------------------------------------------------------------------
+
+/// `options` with every code raised to at least Warn.
+fn promoting_all(options: ExecutionOptions) -> ExecutionOptions {
+    let mut analysis = options.analysis.clone();
+    for code in LintCode::ALL {
+        analysis = analysis.with_override(code, code.default_severity().max(Severity::Warn));
+    }
+    ExecutionOptions {
+        analysis,
+        ..options
+    }
+}
+
+/// `code severity` per finding, in emission order. The graph-layer codes
+/// QA301–QA304 are skipped: they are no longer part of the analysis.
+fn sequence(diags: &Diagnostics) -> Vec<String> {
+    diags
+        .iter()
+        .filter(|d| !d.code.to_string().starts_with("QA3"))
+        .map(|d| format!("{} {}", d.code, d.severity))
+        .collect()
+}
+
+#[test]
+fn diagnostic_order_is_pinned_with_every_code_promoted() {
+    use qcut::device::pool::{BackendPool, PlacementPolicy};
+    use std::time::Duration;
+
+    let malformed = Circuit::from_instructions_unchecked(
+        2,
+        vec![
+            Instruction {
+                gate: Gate::H,
+                qubits: vec![7],
+            },
+            Instruction {
+                gate: Gate::Cx,
+                qubits: vec![0, 0],
+            },
+        ],
+    );
+    let mut idle = Circuit::new(3);
+    idle.h(0);
+    idle.cx(0, 1);
+    let (mut identities, identities_cut) = GoldenAnsatz::new(5, 13).build();
+    identities.rz(0.0, 0);
+    identities.rx(2.0 * PI, 1);
+    let (mut fusible, fusible_cut) = GoldenAnsatz::new(5, 15).build();
+    fusible.h(0);
+    fusible.h(0);
+    fusible.rz(0.3, 1);
+    fusible.rz(0.4, 1);
+    let (golden, golden_cut) = GoldenAnsatz::new(5, 20).build();
+    let (multi, multi_cut) = MultiCutAnsatz::new(2, 18).build();
+    let (non_real, non_real_cut) = non_real_upstream_workload();
+    let tight_overhead = ExecutionOptions {
+        analysis: AnalysisConfig {
+            max_sampling_overhead: 10.0,
+            ..AnalysisConfig::default()
+        },
+        ..Default::default()
+    };
+    let budget = |total| ExecutionOptions::with_allocation(ShotAllocation::TotalBudget { total });
+    let zero_shots = ExecutionOptions {
+        shots_per_setting: 0,
+        ..Default::default()
+    };
+
+    let backend_free: Vec<(&str, &Circuit, CutSpec, ExecutionOptions, Vec<&str>)> = vec![
+        (
+            "malformed IR",
+            &malformed,
+            CutSpec::single(0, 0),
+            default_options(),
+            vec!["QA001 deny", "QA001 deny", "QA002 warn"],
+        ),
+        (
+            "idle qubit",
+            &idle,
+            CutSpec::single(0, 0),
+            default_options(),
+            vec!["QA002 warn", "QA101 deny"],
+        ),
+        (
+            "identity gates",
+            &identities,
+            identities_cut,
+            default_options(),
+            vec![
+                "QA003 warn",
+                "QA003 warn",
+                "QA004 warn",
+                "QA601 warn",
+                "QA602 warn",
+                "QA602 warn",
+                "QA203 warn",
+            ],
+        ),
+        (
+            "fusible pairs",
+            &fusible,
+            fusible_cut,
+            default_options(),
+            vec![
+                "QA004 warn",
+                "QA004 warn",
+                "QA004 warn",
+                "QA601 warn",
+                "QA602 warn",
+                "QA602 warn",
+                "QA203 warn",
+            ],
+        ),
+        (
+            "invalid cut",
+            &golden,
+            CutSpec::single(0, 99),
+            default_options(),
+            vec!["QA101 deny"],
+        ),
+        (
+            "sampling overhead",
+            &multi,
+            multi_cut,
+            tight_overhead,
+            vec![
+                "QA102 warn",
+                "QA103 warn",
+                "QA603 warn",
+                "QA603 warn",
+                "QA203 warn",
+            ],
+        ),
+        (
+            "non-real upstream",
+            &non_real,
+            non_real_cut,
+            default_options(),
+            vec!["QA601 warn", "QA603 warn", "QA203 warn"],
+        ),
+        (
+            "budget below floor",
+            &golden,
+            golden_cut.clone(),
+            budget(2),
+            vec![
+                "QA103 warn",
+                "QA602 warn",
+                "QA603 warn",
+                "QA201 deny",
+                "QA203 warn",
+            ],
+        ),
+        (
+            "zero shots",
+            &golden,
+            golden_cut.clone(),
+            zero_shots,
+            vec![
+                "QA103 warn",
+                "QA602 warn",
+                "QA603 warn",
+                "QA202 deny",
+                "QA203 warn",
+            ],
+        ),
+        (
+            "standard plan starved",
+            &golden,
+            golden_cut.clone(),
+            budget(4),
+            vec![
+                "QA103 warn",
+                "QA602 warn",
+                "QA603 warn",
+                "QA203 warn",
+                "QA204 warn",
+            ],
+        ),
+    ];
+    for (name, circuit, cut, options, expected) in backend_free {
+        let diags = analyze(circuit, &cut, &promoting_all(options));
+        assert_eq!(sequence(&diags), expected, "{name}:\n{diags}");
+    }
+
+    // Backend-known misconfigurations: a fault-prone backend without
+    // retries, a timeout no ibm-like job fits, SIC under Degrade, a
+    // starved cache byte budget over a corrupt cache file, and a crowded,
+    // cramped, mixed-fingerprint pool.
+    let corrupt =
+        std::env::temp_dir().join(format!("qcut-analysis-order-{}.qwc", std::process::id()));
+    std::fs::write(&corrupt, b"not a cache file").expect("write temp file");
+    let misconfigured = ExecutionOptions {
+        method: ReconstructionMethod::Sic,
+        failure: FailurePolicy::Degrade,
+        retry: RetryPolicy {
+            per_job_timeout: Some(Duration::from_nanos(1)),
+            ..RetryPolicy::default()
+        },
+        cache: Some(std::sync::Arc::new(WarmCache::open(
+            CacheConfig::at_path(&corrupt).with_byte_budget(8),
+        ))),
+        ..Default::default()
+    };
+    let flaky =
+        FaultInjectingBackend::new(IdealBackend::new(1).with_timing(TimingModel::ibm_like()))
+            .with_fault_probability(0.2, 7);
+    let diags = analyze_with_backend(
+        &golden,
+        &golden_cut,
+        &promoting_all(misconfigured.clone()),
+        &flaky,
+    );
+    assert_eq!(
+        sequence(&diags),
+        [
+            "QA403 warn",
+            "QA501 warn",
+            "QA503 warn",
+            "QA103 warn",
+            "QA602 warn",
+            "QA603 warn",
+            "QA203 warn",
+            "QA402 warn",
+            "QA502 warn",
+        ],
+        "fault-prone backend:\n{diags}"
+    );
+
+    let mut pool = BackendPool::new(PlacementPolicy::RoundRobin);
+    for i in 0..16u64 {
+        pool = pool.with_backend(IdealBackend::new(i + 1).with_capacity(1 + (i as usize % 2)));
+    }
+    let diags = analyze_with_backend(&golden, &golden_cut, &promoting_all(misconfigured), &pool);
+    assert_eq!(
+        sequence(&diags),
+        [
+            "QA403 warn",
+            "QA702 warn",
+            "QA503 warn",
+            "QA103 warn",
+            "QA602 warn",
+            "QA603 warn",
+            "QA203 warn",
+            "QA402 warn",
+            "QA701 deny",
+            "QA703 warn",
+        ],
+        "pool:\n{diags}"
+    );
+    std::fs::remove_file(&corrupt).ok();
 }

@@ -234,6 +234,44 @@ fn corrupt_cache_file_degrades_to_cold_start_with_diagnostic() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A corrupt cache file yields exactly one QA403 finding per run, at the
+/// configured severity, and none when the code is demoted to Allow.
+#[test]
+fn corrupt_cache_file_reports_qa403_once_at_its_configured_severity() {
+    let (circuit, cut) = workload();
+    let backend = IdealBackend::new(19);
+    for (tag, severity) in [("warn", None), ("allow", Some(Severity::Allow))] {
+        let path = std::env::temp_dir().join(format!(
+            "qcut-integration-qa403-{tag}-{}.qwc",
+            std::process::id()
+        ));
+        std::fs::write(&path, b"definitely not a cache file").unwrap();
+        let mut options =
+            options_with_cache(Some(Arc::new(WarmCache::open(CacheConfig::at_path(&path)))));
+        if let Some(severity) = severity {
+            options.analysis =
+                AnalysisConfig::default().with_override(LintCode::CacheDegraded, severity);
+        }
+        let run = CutExecutor::new(&backend)
+            .run(&circuit, &cut, GoldenPolicy::Disabled, &options)
+            .unwrap();
+        let degraded: Vec<_> = run
+            .report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == LintCode::CacheDegraded)
+            .collect();
+        match severity {
+            None => {
+                assert_eq!(degraded.len(), 1, "{:?}", run.report.diagnostics);
+                assert_eq!(degraded[0].severity, Severity::Warn);
+            }
+            Some(_) => assert!(degraded.is_empty(), "{:?}", run.report.diagnostics),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 /// The adaptive policy treats cached histograms as a free pilot: on a
 /// warm rerun the pilot round executes nothing, only the refine
 /// increments run, and the shot invariant holds with the cache term.
