@@ -90,9 +90,6 @@ fn measure_edge(circuit: &Circuit, spec: &CutSpec, truth: &Distribution, salt: u
             total: MEASURE_BUDGET,
         }),
         postprocess: PostProcess::Raw,
-        // No structural dedup: merged histograms would deliver more
-        // shots than the schedule the surrogate modelled.
-        dedup: false,
         ..Default::default()
     };
     let mut total = 0.0;
@@ -104,6 +101,12 @@ fn measure_edge(circuit: &Circuit, spec: &CutSpec, truth: &Distribution, salt: u
         assert_eq!(
             run.report.detection_shots, 0,
             "ProveStatic must not spend detection shots"
+        );
+        // A merged node would deliver more shots than the per-setting
+        // schedule the surrogate modelled.
+        assert_eq!(
+            run.report.jobs_executed, run.report.jobs_planned,
+            "every setting must run its own scheduled budget"
         );
         total += rms_error(&run.distribution, truth);
     }

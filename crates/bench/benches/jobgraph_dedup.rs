@@ -1,11 +1,12 @@
-//! JobGraph dedup ablation: gather throughput with structural dedup on vs
-//! off on a repeated-subcircuit workload.
+//! JobGraph dedup: gather throughput when many consumers request the
+//! same few circuits vs the same job count over distinct circuits.
 //!
-//! The workload models the case the engine is built for: many consumers
-//! (reconstruction terms / tomography settings) requesting the same few
-//! unique subcircuits. With dedup on, each unique circuit is simulated
-//! once and fanned out; with dedup off, every planned job hits the
-//! backend, which is how the pre-engine execution layer behaved.
+//! The `repeated` workload models the case the engine is built for: many
+//! consumers (reconstruction terms / tomography settings) requesting the
+//! same few unique subcircuits, each simulated once and fanned out. The
+//! `distinct` workload registers as many jobs over structurally distinct
+//! circuits (the repetition index folded into an `rz` angle), so nothing
+//! merges and every job hits the backend — what merging saves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcut_circuit::ansatz::GoldenAnsatz;
@@ -17,10 +18,12 @@ use qcut_core::retry::RetryPolicy;
 use qcut_core::tomography::build_upstream_circuit;
 use qcut_device::ideal::IdealBackend;
 
-/// The repeated-subcircuit ansatz: the golden ansatz's upstream variants
-/// (3 unique circuits), each requested by `fan_out` distinct consumers —
-/// the shape a multi-term reconstruction or a cross-run batch produces.
-fn repeated_workload(fan_out: usize) -> Vec<(Circuit, u64)> {
+/// The golden ansatz's upstream variants (3 unique circuits), each
+/// requested by `fan_out` distinct consumers — the shape a multi-term
+/// reconstruction or a cross-run batch produces. With `distinct`, every
+/// repetition gets its own `rz` angle, so all `3 · fan_out` jobs are
+/// structurally distinct.
+fn workload(fan_out: usize, distinct: bool) -> Vec<(Circuit, u64)> {
     let (circuit, cut) = GoldenAnsatz::new(7, 5).build();
     let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
     let plan = BasisPlan::standard(1);
@@ -28,25 +31,25 @@ fn repeated_workload(fan_out: usize) -> Vec<(Circuit, u64)> {
     for (i, setting) in plan.all_meas_settings().iter().enumerate() {
         let variant = build_upstream_circuit(&frags.upstream, setting);
         for rep in 0..fan_out {
-            jobs.push((variant.clone(), (rep * 3 + i) as u64));
+            let mut job = variant.clone();
+            if distinct {
+                job.rz(0.01 * (rep + 1) as f64, 0);
+            }
+            jobs.push((job, (rep * 3 + i) as u64));
         }
     }
     jobs
 }
 
-fn bench_dedup_vs_not(c: &mut Criterion) {
+fn bench_repeated_vs_distinct(c: &mut Criterion) {
     let mut group = c.benchmark_group("jobgraph_gather");
     group.sample_size(20);
     for fan_out in [4usize, 16] {
-        let jobs = repeated_workload(fan_out);
-        for (label, dedup) in [("dedup_on", true), ("dedup_off", false)] {
+        for (label, distinct) in [("repeated", false), ("distinct", true)] {
+            let jobs = workload(fan_out, distinct);
             group.bench_with_input(BenchmarkId::new(label, fan_out), &fan_out, |b, _| {
                 b.iter(|| {
-                    let mut graph = if dedup {
-                        JobGraph::new()
-                    } else {
-                        JobGraph::without_dedup()
-                    };
+                    let mut graph = JobGraph::new();
                     for (circuit, key) in &jobs {
                         graph.add_job(circuit.clone(), (Channel::UpstreamMeas, *key), 1000);
                     }
@@ -59,5 +62,5 @@ fn bench_dedup_vs_not(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dedup_vs_not);
+criterion_group!(benches, bench_repeated_vs_distinct);
 criterion_main!(benches);

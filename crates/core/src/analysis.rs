@@ -434,6 +434,18 @@ struct BackendFacts<'a> {
     pool: Option<Vec<MemberInfo>>,
 }
 
+impl<'a> BackendFacts<'a> {
+    /// What the backend-dependent checks may query, without running it.
+    fn of<B: Backend + ?Sized>(backend: &'a B) -> Self {
+        BackendFacts {
+            deterministic_seeding: backend.deterministic_seeding(),
+            fault_prone: backend.is_fault_prone(),
+            timing: backend.timing(),
+            pool: backend.as_pool().map(|p| p.member_info()),
+        }
+    }
+}
+
 /// Everything a check may read. The `Option` fields are filled layer by
 /// layer, each computed once; a check skips (never fires) when its inputs
 /// are absent.
@@ -501,7 +513,7 @@ impl<'a> AnalysisContext<'a> {
                 else {
                     return None;
                 };
-                Some(gather_graph(fragments, plan, self.options, sched))
+                Some(gather_graph(fragments, plan, self.options.method, sched))
             })
             .as_ref()
     }
@@ -1101,7 +1113,7 @@ fn pool_idle_member(ctx: &AnalysisContext<'_>, out: &mut Vec<String>) {
 /// ([`AnalysisConfig::max_planned_jobs`]) skips the schedule/graph layers
 /// so analysis stays cheap at large `K`.
 pub fn analyze(circuit: &Circuit, cut: &CutSpec, options: &ExecutionOptions) -> Diagnostics {
-    analyze_inner(circuit, cut, options, None)
+    analyze_inner(circuit, cut, options, None).0
 }
 
 /// [`analyze`] plus the backend-dependent lints: knowing the backend
@@ -1111,7 +1123,7 @@ pub fn analyze(circuit: &Circuit, cut: &CutSpec, options: &ExecutionOptions) -> 
 /// it is a [`qcut_device::pool::BackendPool`]. Still static — the
 /// backend is only *queried* ([`Backend::deterministic_seeding`],
 /// [`Backend::is_fault_prone`], [`Backend::timing`],
-/// [`Backend::as_pool`]), never run. This is the entry point
+/// [`Backend::as_pool`]), never run. This is the check set
 /// [`crate::pipeline::CutExecutor::run`] gates on.
 pub fn analyze_with_backend<B: Backend + ?Sized>(
     circuit: &Circuit,
@@ -1119,21 +1131,31 @@ pub fn analyze_with_backend<B: Backend + ?Sized>(
     options: &ExecutionOptions,
     backend: &B,
 ) -> Diagnostics {
-    let facts = BackendFacts {
-        deterministic_seeding: backend.deterministic_seeding(),
-        fault_prone: backend.is_fault_prone(),
-        timing: backend.timing(),
-        pool: backend.as_pool().map(|p| p.member_info()),
-    };
-    analyze_inner(circuit, cut, options, Some(facts))
+    analyze_inner(circuit, cut, options, Some(BackendFacts::of(backend))).0
 }
 
+/// [`analyze_with_backend`] for the pipeline gate, which also needs the
+/// fragments: hands back analysis's own fragmenting result so the run
+/// fragments once. The result is `None` when malformed IR stopped
+/// analysis before it fragmented — the caller must check the findings
+/// for Deny (`QA001`) before it fragments the circuit itself.
+pub(crate) fn analyze_and_fragment<B: Backend + ?Sized>(
+    circuit: &Circuit,
+    cut: &CutSpec,
+    options: &ExecutionOptions,
+    backend: &B,
+) -> (Diagnostics, Option<Result<Fragments, FragmentError>>) {
+    analyze_inner(circuit, cut, options, Some(BackendFacts::of(backend)))
+}
+
+/// Runs the layers and returns the findings plus the fragmenting result
+/// (`None` when malformed IR stopped the descent before fragmenting).
 fn analyze_inner(
     circuit: &Circuit,
     cut: &CutSpec,
     options: &ExecutionOptions,
     backend: Option<BackendFacts<'_>>,
-) -> Diagnostics {
+) -> (Diagnostics, Option<Result<Fragments, FragmentError>>) {
     let mut ctx = AnalysisContext::new(circuit, cut, options, backend);
     let mut items = Vec::new();
     // Cache-configuration and execution-policy checks read no circuit
@@ -1147,41 +1169,37 @@ fn analyze_inner(
     // Malformed IR makes every deeper inspection meaningless (and unsafe
     // to index) regardless of how QA001's severity is configured.
     if !ctx.malformed.is_empty() {
-        return Diagnostics { items };
+        return (Diagnostics { items }, None);
     }
 
     let fragmented = Fragmenter::fragment(circuit, cut);
     ctx.fragmented = Some(&fragmented);
     run_layer(Layer::Cut, &ctx, &mut items);
-    let Ok(fragments) = &fragmented else {
-        // QA101 reported the failure; nothing deeper is well-defined.
-        return Diagnostics { items };
-    };
-
-    let plan = BasisPlan::standard(fragments.num_cuts);
-    ctx.plan = Some(&plan);
-    // Dataflow checks read the circuit, the cut, the fragments and the
-    // standard plan — all present once the cut validated.
-    run_layer(Layer::Dataflow, &ctx, &mut items);
-    let method = options.method;
-    if estimated_settings(&plan, method) > options.analysis.max_planned_jobs as f64 {
-        // Schedule and graph checks would enumerate the settings; skip
-        // them to keep analysis cheap (QA102 has already flagged the
-        // blowup).
-        return Diagnostics { items };
+    // Past an invalid cut (QA101) nothing deeper is well-defined.
+    if let Ok(fragments) = &fragmented {
+        let plan = BasisPlan::standard(fragments.num_cuts);
+        ctx.plan = Some(&plan);
+        // Dataflow checks read the circuit, the cut, the fragments and the
+        // standard plan — all present once the cut validated.
+        run_layer(Layer::Dataflow, &ctx, &mut items);
+        let method = options.method;
+        // Schedule and graph checks enumerate the settings; past the
+        // budget they are skipped to keep analysis cheap (QA102 has
+        // already flagged the blowup).
+        if estimated_settings(&plan, method) <= options.analysis.max_planned_jobs as f64 {
+            let standard = predicted_schedule(&plan, method, ctx.allocation);
+            let floor = predicted_schedule(
+                &minimal_golden_plan(plan.num_cuts()),
+                method,
+                ctx.allocation,
+            );
+            ctx.standard = Some(&standard);
+            ctx.floor = Some(&floor);
+            run_layer(Layer::Schedule, &ctx, &mut items);
+            run_layer(Layer::Graph, &ctx, &mut items);
+        }
     }
-
-    let standard = predicted_schedule(&plan, method, ctx.allocation);
-    let floor = predicted_schedule(
-        &minimal_golden_plan(plan.num_cuts()),
-        method,
-        ctx.allocation,
-    );
-    ctx.standard = Some(&standard);
-    ctx.floor = Some(&floor);
-    run_layer(Layer::Schedule, &ctx, &mut items);
-    run_layer(Layer::Graph, &ctx, &mut items);
-    Diagnostics { items }
+    (Diagnostics { items }, Some(fragmented))
 }
 
 #[cfg(test)]

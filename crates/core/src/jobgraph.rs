@@ -12,7 +12,11 @@
 //! reconstruction terms — become a single node. Execution is then one
 //! batched [`Backend::run_batch_stats`] submission per pool member (a bare
 //! backend is a pool of one), and each node's counts are fanned back out
-//! to every consumer that asked for them.
+//! to every consumer that asked for them. Merging is not optional: every
+//! graph runs each distinct circuit once, and [`GraphRun::node_counts`]
+//! hands back one merged histogram per node, so callers that reuse
+//! results (warm-cache store-back, adaptive refine seeds, online-detection
+//! reuse) take each unique circuit's data exactly once.
 //!
 //! ```text
 //! add_job(c, consumer, shots)  ──┐
@@ -23,7 +27,7 @@
 //!        per node, then failover of transient faults to a sibling member
 //!                                         │
 //!                                         ▼ fan-out
-//!                    GraphRun: counts per consumer + dedup accounting
+//!          GraphRun: counts per consumer and per node + dedup accounting
 //! ```
 //!
 //! Determinism contract: each member batch holds its nodes in insertion
@@ -390,7 +394,12 @@ impl std::error::Error for GraphFailure {
 /// Results of one graph execution: per-consumer counts plus accounting.
 #[derive(Debug)]
 pub struct GraphRun {
-    counts: HashMap<ConsumerKey, Counts>,
+    /// Each consumer of a delivered node → that node's index in `nodes`.
+    counts: HashMap<ConsumerKey, usize>,
+    /// Each node's merged histogram, indexed like
+    /// [`JobGraph::node_circuits`]; `None` for nodes that failed. The
+    /// only copy: consumers read through `counts`.
+    nodes: Vec<Option<Counts>>,
     /// Batching/dedup accounting.
     pub stats: GraphStats,
 }
@@ -398,10 +407,20 @@ pub struct GraphRun {
 impl GraphRun {
     /// Counts delivered to one consumer.
     pub fn counts(&self, key: &ConsumerKey) -> Option<&Counts> {
-        self.counts.get(key)
+        self.nodes[*self.counts.get(key)?].as_ref()
     }
 
-    /// Drains every consumer of `channel` into a key → counts map. The
+    /// The merged histogram each node delivered, in the order of
+    /// [`JobGraph::node_circuits`] (`None` for permanently failed nodes).
+    /// Every unique circuit appears once, so reusing these — as seeds for
+    /// a later round or as warm-cache entries — never double-counts a
+    /// histogram that several consumers share.
+    pub fn node_counts(&self) -> &[Option<Counts>] {
+        &self.nodes
+    }
+
+    /// Drains every consumer of `channel` into a key → counts map (a copy
+    /// of its node's histogram per consumer; the node keeps its own). The
     /// delivered histogram totals are the *realized* per-setting shots —
     /// ≥ a consumer's requested budget when deduplicated nodes merged to a
     /// larger max budget or seeded counts topped a node up
@@ -415,49 +434,28 @@ impl GraphRun {
             .copied()
             .collect();
         keys.into_iter()
-            .map(|k| (k.1, self.counts.remove(&k).expect("key just listed")))
+            // Every listed key is present and maps to a delivered node.
+            .filter_map(|k| {
+                let node = self.counts.remove(&k)?;
+                Some((k.1, self.nodes[node].clone()?))
+            })
             .collect()
     }
 }
 
 /// A batched, deduplicating execution plan over one backend submission.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JobGraph {
     nodes: Vec<JobNode>,
     /// Structural hash → node indices with that hash (collision chain).
     index: HashMap<u64, Vec<usize>>,
-    dedup: bool,
     jobs_planned: usize,
 }
 
-impl Default for JobGraph {
-    /// Same as [`JobGraph::new`]: dedup enabled. (A derived `Default`
-    /// would silently yield the no-dedup ablation graph.)
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl JobGraph {
-    /// An empty graph with structural dedup enabled (the default).
+    /// An empty graph.
     pub fn new() -> Self {
-        JobGraph {
-            nodes: Vec::new(),
-            index: HashMap::new(),
-            dedup: true,
-            jobs_planned: 0,
-        }
-    }
-
-    /// An empty graph that never merges jobs — every `add_job` becomes its
-    /// own backend submission and [`JobGraph::seed_counts`] is a no-op.
-    /// This is the ablation baseline for the dedup benchmarks and the
-    /// engine-invariance proptests.
-    pub fn without_dedup() -> Self {
-        JobGraph {
-            dedup: false,
-            ..Self::new()
-        }
+        Self::default()
     }
 
     /// Jobs registered so far (fan-out edges, not unique circuits).
@@ -486,44 +484,22 @@ impl JobGraph {
             .find(|&i| self.nodes[i].circuit == *circuit)
     }
 
-    /// Locates a node holding this exact `(circuit, consumer)` pair (used
-    /// to keep the no-double-count contract even with dedup disabled).
-    fn find_consumer_node(
-        &self,
-        circuit: &Circuit,
-        hash: u64,
-        consumer: ConsumerKey,
-    ) -> Option<usize> {
-        self.index.get(&hash)?.iter().copied().find(|&i| {
-            self.nodes[i].circuit == *circuit
-                && self.nodes[i].consumers.iter().any(|&(k, _)| k == consumer)
-        })
-    }
-
     /// Registers one job: `consumer` wants `shots` shots of `circuit`.
-    /// Structurally identical circuits share a node (when dedup is on), so
-    /// the batch executes each unique circuit once with the maximum
-    /// requested budget and fans the counts back out. Re-registering the
-    /// same `(circuit, consumer)` pair raises that consumer's demand to the
-    /// larger budget rather than delivering (and double-counting) the
-    /// node's histogram twice (the contract holds in both dedup modes).
+    /// Structurally identical circuits share a node, so the batch executes
+    /// each unique circuit once with the maximum requested budget and fans
+    /// the counts back out. Re-registering the same `(circuit, consumer)`
+    /// pair raises that consumer's demand to the larger budget rather than
+    /// delivering (and double-counting) the node's histogram twice.
     pub fn add_job(&mut self, circuit: Circuit, consumer: ConsumerKey, shots: u64) {
         self.jobs_planned += 1;
         let hash = circuit.structural_hash();
-        if let Some(i) = self.find_consumer_node(&circuit, hash, consumer) {
-            let (_, demand) = self.nodes[i]
-                .consumers
-                .iter_mut()
-                .find(|(k, _)| *k == consumer)
-                .expect("find_consumer_node matched this key");
-            *demand = (*demand).max(shots);
-            return;
-        }
-        if self.dedup {
-            if let Some(i) = self.find_node(&circuit, hash) {
-                self.nodes[i].consumers.push((consumer, shots));
-                return;
+        if let Some(i) = self.find_node(&circuit, hash) {
+            let consumers = &mut self.nodes[i].consumers;
+            match consumers.iter_mut().find(|(k, _)| *k == consumer) {
+                Some((_, demand)) => *demand = (*demand).max(shots),
+                None => consumers.push((consumer, shots)),
             }
+            return;
         }
         let i = self.nodes.len();
         self.nodes.push(JobNode {
@@ -566,22 +542,9 @@ impl JobGraph {
     /// Feeds counts already measured for `circuit` (e.g. by an online
     /// detection round) into the matching node, reducing how many shots the
     /// backend must still execute for it. Returns `true` when a node
-    /// matched. No-op (always `false`) when dedup is disabled.
+    /// matched.
     pub fn seed_counts(&mut self, circuit: &Circuit, counts: &Counts) -> bool {
-        if !self.dedup {
-            return false;
-        }
-        let hash = circuit.structural_hash();
-        match self.find_node(circuit, hash) {
-            Some(i) => {
-                match &mut self.nodes[i].cached {
-                    Some(c) => c.merge(counts),
-                    slot @ None => *slot = Some(counts.clone()),
-                }
-                true
-            }
-            None => false,
-        }
+        self.seed(circuit, counts).is_some()
     }
 
     /// Like [`Self::seed_counts`], but for counts recovered from the
@@ -589,25 +552,24 @@ impl JobGraph {
     /// planning (the node only runs the shot increment beyond what is
     /// seeded), but records the seeded amount so [`Self::execute`] can
     /// attribute the reuse to `cache_shots_reused` instead of
-    /// `shots_saved`. Returns `true` when a node matched; no-op when dedup
-    /// is disabled (cache keys are structural, so serving them without the
-    /// dedup equality confirmation would be unsound).
+    /// `shots_saved`. Returns `true` when a node matched.
     pub fn seed_counts_from_cache(&mut self, circuit: &Circuit, counts: &Counts) -> bool {
-        if !self.dedup {
+        let Some(i) = self.seed(circuit, counts) else {
             return false;
+        };
+        self.nodes[i].cache_seeded += counts.total();
+        true
+    }
+
+    /// Merges `counts` into the cached histogram of the node holding
+    /// `circuit`, returning that node's index.
+    fn seed(&mut self, circuit: &Circuit, counts: &Counts) -> Option<usize> {
+        let i = self.find_node(circuit, circuit.structural_hash())?;
+        match &mut self.nodes[i].cached {
+            Some(c) => c.merge(counts),
+            slot @ None => *slot = Some(counts.clone()),
         }
-        let hash = circuit.structural_hash();
-        match self.find_node(circuit, hash) {
-            Some(i) => {
-                match &mut self.nodes[i].cached {
-                    Some(c) => c.merge(counts),
-                    slot @ None => *slot = Some(counts.clone()),
-                }
-                self.nodes[i].cache_seeded += counts.total();
-                true
-            }
-            None => false,
-        }
+        Some(i)
     }
 
     /// Places every node on a member of `pool`: each node at its maximum
@@ -828,9 +790,11 @@ impl JobGraph {
         // Fan-out. Failed nodes deliver nothing — not even partial cached
         // counts — so a consumer either receives its full merged histogram
         // or is named in a failure record, never a silent under-delivery.
-        let mut counts: HashMap<ConsumerKey, Counts> = HashMap::new();
+        let mut counts: HashMap<ConsumerKey, usize> = HashMap::new();
+        let mut nodes = Vec::with_capacity(self.nodes.len());
         for (i, node) in self.nodes.iter().enumerate() {
             if failed.binary_search(&i).is_ok() {
+                nodes.push(None);
                 continue;
             }
             let mut merged = match &node.cached {
@@ -840,14 +804,14 @@ impl JobGraph {
             if let Some(fresh) = delivered.get(&i) {
                 merged.merge(fresh);
             }
-            for &(key, _) in &node.consumers {
-                counts
-                    .entry(key)
-                    .and_modify(|c| c.merge(&merged))
-                    .or_insert_with(|| merged.clone());
-            }
+            counts.extend(node.consumers.iter().map(|&(key, _)| (key, i)));
+            nodes.push(Some(merged));
         }
-        let run = GraphRun { counts, stats };
+        let run = GraphRun {
+            counts,
+            nodes,
+            stats,
+        };
         if permanent.is_empty() {
             Ok(run)
         } else {
@@ -956,34 +920,32 @@ mod tests {
             run.counts(&(Channel::UpstreamMeas, 4)).unwrap().total(),
             500
         );
-
-        // The no-double-count contract holds with dedup off too, keeping
-        // the ablation statistically comparable.
-        let mut g = JobGraph::without_dedup();
-        g.add_job(bell(), (Channel::UpstreamMeas, 4), 300);
-        g.add_job(bell(), (Channel::UpstreamMeas, 4), 500);
-        assert_eq!(g.num_nodes(), 1);
-        let run = g
-            .execute(&IdealBackend::new(8), &RetryPolicy::default())
-            .unwrap();
-        assert_eq!(
-            run.counts(&(Channel::UpstreamMeas, 4)).unwrap().total(),
-            500
-        );
     }
 
     #[test]
-    fn without_dedup_executes_every_job() {
-        let mut g = JobGraph::without_dedup();
-        g.add_job(bell(), (Channel::Uncut, 0), 200);
-        g.add_job(bell(), (Channel::Uncut, 1), 700);
-        assert_eq!(g.num_nodes(), 2);
-        let run = g
-            .execute(&IdealBackend::new(1), &RetryPolicy::default())
-            .unwrap();
-        assert_eq!(run.stats.jobs_executed, 2);
-        assert_eq!(run.stats.shots_saved, 0);
-        assert_eq!(run.counts(&(Channel::Uncut, 0)).unwrap().total(), 200);
+    fn node_counts_hold_each_merged_histogram_once_in_node_order() {
+        let backend = IdealBackend::new(9);
+        let warmup = backend.run(&bell(), 100).unwrap().counts;
+        let mut g = JobGraph::new();
+        g.add_job(ghz(), (Channel::DownstreamPrep, 0), 300);
+        g.add_job(bell(), (Channel::UpstreamMeas, 0), 200);
+        g.add_job(bell(), (Channel::UpstreamMeas, 1), 400);
+        g.seed_counts(&bell(), &warmup);
+        let run = g.execute(&backend, &RetryPolicy::default()).unwrap();
+        let nodes = run.node_counts();
+        assert_eq!(nodes.len(), g.num_nodes());
+        // Node order is insertion order; the shared node's histogram is the
+        // one both consumers received, seed included.
+        assert_eq!(nodes[0].as_ref(), run.counts(&(Channel::DownstreamPrep, 0)));
+        assert_eq!(nodes[1].as_ref(), run.counts(&(Channel::UpstreamMeas, 1)));
+        assert_eq!(nodes[1].as_ref().map(Counts::total), Some(400));
+
+        // A failed node delivers no histogram.
+        let tiny = IdealBackend::new(0).with_capacity(2);
+        let failure = g.execute(&tiny, &RetryPolicy::default()).unwrap_err();
+        let salvage = failure.salvage.node_counts();
+        assert!(salvage[0].is_none());
+        assert_eq!(salvage[1].as_ref().map(Counts::total), Some(400));
     }
 
     #[test]
@@ -1063,19 +1025,6 @@ mod tests {
         assert_eq!(run.stats.cache_hits, 1);
         assert_eq!(run.stats.cache_shots_reused, 400);
         assert_eq!(run.stats.shots_saved, 0);
-    }
-
-    #[test]
-    fn cache_seeding_is_a_noop_without_dedup() {
-        let backend = IdealBackend::new(13);
-        let warm = backend.run(&bell(), 300).unwrap().counts;
-        let mut g = JobGraph::without_dedup();
-        g.add_job(bell(), (Channel::UpstreamMeas, 0), 500);
-        assert!(!g.seed_counts_from_cache(&bell(), &warm));
-        let run = g.execute(&backend, &RetryPolicy::default()).unwrap();
-        assert_eq!(run.stats.shots_executed, 500);
-        assert_eq!(run.stats.cache_shots_reused, 0);
-        assert_eq!(run.stats.cache_hits, 0);
     }
 
     #[test]

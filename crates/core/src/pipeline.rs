@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! CutExecutor::run
-//!   ├─ validate & fragment the circuit
+//!   ├─ static analysis, which also fragments the circuit (once)
 //!   ├─ resolve the golden policy into a BasisPlan
 //!   │    (a priori / exact simulation / online sequential detection,
 //!   │     detection batches executed through the JobGraph engine)
@@ -14,8 +14,9 @@
 //!   │    from the pilot's measurements
 //!   ├─ per round, plan the JobGraph (eigenstate or SIC builders;
 //!   │    identical subcircuits dedup into one node, detection/pilot
-//!   │    counts seed the cache) and execute it as one batched backend
-//!   │    submission with fan-out
+//!   │    nodes and warm-cache entries seed it) and execute it as one
+//!   │    batched backend submission with fan-out
+//!   ├─ store the final round's delivered nodes back into the warm cache
 //!   ├─ reconstruct (tensor contraction, Eq. 14)
 //!   └─ post-process the quasi-distribution
 //! ```
@@ -24,12 +25,14 @@
 //! detection, and [`CutExecutor::run_uncut`] — flows through
 //! [`crate::jobgraph::JobGraph`], so the [`RunReport`] carries unified
 //! dedup accounting (`jobs_planned` / `jobs_executed` / `shots_saved`).
+//! Reuse between stages and across runs reads the engine's delivered
+//! nodes: one merged histogram per unique circuit.
 
 use crate::allocation::{
     pilot_schedule, pilot_total, refine_schedule, schedule_for_plan, schedule_sic, ShotAllocation,
     ShotSchedule,
 };
-use crate::analysis::{analyze_with_backend, AnalysisConfig, Diagnostic, LintCode, Severity};
+use crate::analysis::{analyze_and_fragment, AnalysisConfig, Diagnostic, LintCode, Severity};
 use crate::basis::{decode_meas, decode_prep, encode_meas, encode_prep, BasisPlan};
 use crate::error::{ExecutionFailure, PipelineError};
 use crate::execution::FragmentData;
@@ -37,13 +40,15 @@ use crate::fragment::{Fragmenter, Fragments};
 use crate::golden::{
     resolve_static_policy, GoldenPolicy, GoldenVerdict, OnlineConfig, OnlineDetector,
 };
-use crate::jobgraph::{Channel, ConsumerKey, GraphFailure, GraphStats, JobGraph, NodeFailure};
+use crate::jobgraph::{
+    Channel, ConsumerKey, GraphFailure, GraphRun, GraphStats, JobGraph, NodeFailure,
+};
 use crate::planner::{gather_graph, uncut_graph};
 use crate::reconstruction::{contract, downstream_tensor, upstream_tensor};
 use crate::report::{FailureRecord, RunReport, UncutReport};
 use crate::retry::{FailurePolicy, RetryPolicy};
-use crate::sic::{all_sic_settings, build_sic_circuit, encode_sic, sic_downstream_tensor, SicData};
-use crate::tomography::{build_downstream_circuit, build_upstream_circuit};
+use crate::sic::{all_sic_settings, encode_sic, sic_downstream_tensor, SicData};
+use crate::tomography::build_upstream_circuit;
 use crate::variance::neyman_scores;
 use qcut_cache::{CacheKey, ShotDiscipline, WarmCache};
 use qcut_circuit::circuit::Circuit;
@@ -52,7 +57,7 @@ use qcut_device::backend::{Backend, BackendError};
 use qcut_sim::counts::Counts;
 use qcut_stats::distribution::Distribution;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -99,10 +104,6 @@ pub struct ExecutionOptions {
     pub method: ReconstructionMethod,
     /// Post-processing step.
     pub postprocess: PostProcess,
-    /// Deduplicate structurally identical subcircuits on the JobGraph
-    /// engine and reuse online-detection data for the main gather. Off is
-    /// the ablation baseline: every planned job executes independently.
-    pub dedup: bool,
     /// The static-analysis gate run before anything executes (see
     /// [`crate::analysis`]): deny-level findings abort the run as
     /// [`PipelineError::Analysis`], warnings ride in
@@ -112,12 +113,9 @@ pub struct ExecutionOptions {
     /// default — is bit-identical to the historical pipeline. `Some`
     /// seeds every first gather round from persisted per-node histograms
     /// (the engine executes only each node's shot *increment*, attributed
-    /// to [`RunReport::cache_shots_reused`]) and stores the delivered
-    /// cumulative histograms back after the run. Requires
-    /// [`ExecutionOptions::dedup`] — with dedup off (the ablation
-    /// baseline) the cache is bypassed entirely, because serving
-    /// hash-keyed entries without the engine's equality confirmation
-    /// would be unsound.
+    /// to [`RunReport::cache_shots_reused`]) and, after the run, stores
+    /// back the cumulative histogram of every node the final round
+    /// delivered, keyed by that node's circuit.
     pub cache: Option<Arc<WarmCache>>,
     /// Retry policy honored inside every engine submission of the run
     /// (detection batches, pilot, gather rounds): transient backend
@@ -144,7 +142,6 @@ impl Default for ExecutionOptions {
             allocation: None,
             method: ReconstructionMethod::Eigenstate,
             postprocess: PostProcess::ClipRenormalize,
-            dedup: true,
             analysis: AnalysisConfig::default(),
             cache: None,
             retry: RetryPolicy::default(),
@@ -195,37 +192,53 @@ pub struct CutExecutor<'b, B: Backend + ?Sized> {
     backend: &'b B,
 }
 
-/// Delivered channels + engine accounting of one gather round.
+/// Delivered channels of one gather round, plus the executed graph and
+/// its run (channels drained, accounting and per-node histograms kept).
 struct GatherRound {
     upstream: HashMap<u64, Counts>,
     downstream: HashMap<u64, Counts>,
     sic_counts: HashMap<u64, Counts>,
-    stats: GraphStats,
-    /// Structural hash → cache fingerprint of the pool member the round's
-    /// placement assigned each node to (empty on single-backend runs).
-    /// Store-back keys each delivered histogram by the member that
-    /// measured it, never the pool aggregate — histograms must not cross
-    /// member fingerprints.
-    member_fingerprints: HashMap<u64, u64>,
+    graph: JobGraph,
+    run: GraphRun,
+    /// Each node's cache fingerprint, in node order; computed once per
+    /// round, and only when a warm cache is configured.
+    fingerprints: Option<Vec<u64>>,
 }
 
-/// Records one round's delivered histogram into a structural-hash-keyed
-/// seed cache, first delivery wins: deduplicated consumers of a shared
-/// node hand back the *same* merged histogram, which must seed the next
-/// round's node exactly once (merging the duplicates would double-count).
-fn seed_once(seeds: &mut HashMap<u64, (Circuit, Counts)>, circuit: Circuit, counts: &Counts) {
-    if let Entry::Vacant(e) = seeds.entry(circuit.structural_hash()) {
-        e.insert((circuit, counts.clone()));
+impl GatherRound {
+    /// Each unique circuit of the round in node order, with the merged
+    /// histogram it delivered (`None` when the node failed permanently).
+    fn nodes(&self) -> impl Iterator<Item = (&Circuit, Option<&Counts>)> + '_ {
+        self.graph
+            .node_circuits()
+            .zip(self.run.node_counts().iter().map(Option::as_ref))
     }
-}
 
-/// Merges one channel's histograms into another (the dedup-off refine
-/// path, where the pilot's data cannot ride the engine's seed cache).
-fn merge_channel(into: &mut HashMap<u64, Counts>, from: HashMap<u64, Counts>) {
-    for (key, counts) in from {
-        into.entry(key)
-            .and_modify(|mine| mine.merge(&counts))
-            .or_insert(counts);
+    /// Stores each node the round delivered back into the warm cache,
+    /// keyed by `(structural hash, backend fingerprint, discipline)`. Nodes
+    /// are unique circuits, so a histogram that several settings share is
+    /// stored once.
+    ///
+    /// On a [`qcut_device::pool::BackendPool`] backend the fingerprint is
+    /// the *assigned member's*, never the pool aggregate — so a later run
+    /// against any one member (or a re-shuffled pool) only ever
+    /// warm-starts from histograms that member's fingerprint actually
+    /// measured.
+    fn store_back(&self, cache: &WarmCache) {
+        let fingerprints = self
+            .fingerprints
+            .as_deref()
+            .expect("a round keeps its fingerprints whenever a cache is configured");
+        for ((circuit, counts), &fingerprint) in self.nodes().zip(fingerprints) {
+            if let Some(counts) = counts {
+                let key = CacheKey::new(
+                    circuit.structural_hash(),
+                    fingerprint,
+                    ShotDiscipline::Multinomial,
+                );
+                cache.store(&key, circuit, counts);
+            }
+        }
     }
 }
 
@@ -339,17 +352,21 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
     ) -> Result<CutRun, PipelineError> {
         // Static-analysis gate: lint the workload before a single shot is
         // spent. Deny-level findings abort the run; warnings are carried
-        // through to the report.
+        // through to the report. Analysis fragments the circuit anyway and
+        // hands the result over, so the run fragments once; the circuit is
+        // fragmented here only when analysis is disabled, or when malformed
+        // IR stopped it first and `QA001` was configured below Deny.
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
+        let mut fragmented = None;
         if options.analysis.enabled {
-            let diags = analyze_with_backend(circuit, cut, options, self.backend);
+            let diags;
+            (diags, fragmented) = analyze_and_fragment(circuit, cut, options, self.backend);
             if diags.has_deny() {
                 return Err(PipelineError::Analysis(diags));
             }
             diagnostics = diags.into_vec();
         }
-
-        let fragments = Fragmenter::fragment(circuit, cut)?;
+        let fragments = fragmented.unwrap_or_else(|| Fragmenter::fragment(circuit, cut))?;
 
         // Resolve the golden policy. Online detection runs its sequential
         // batches through the engine and leaves its measurements in
@@ -415,19 +432,12 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                 &plan,
                 options,
                 &sched,
-                &detection_cache,
-                self.warm_cache(options),
+                detection_cache.values().map(|(c, n)| (c, n)),
+                options.cache.as_deref(),
                 &mut failures,
             )?;
             (round, 0, 1)
         };
-        let GatherRound {
-            upstream,
-            downstream,
-            sic_counts,
-            stats: gather_stats,
-            member_fingerprints,
-        } = gather;
         let gather_seconds = gather_started.elapsed().as_secs_f64();
 
         // Store the delivered cumulative histograms back into the warm
@@ -435,17 +445,8 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         // persist. Delivered totals already include everything — cached,
         // detection-seeded, and fresh shots — and `store` replaces, so
         // re-running never duplicates samples.
-        if let Some(cache) = self.warm_cache(options) {
-            self.store_back(
-                cache,
-                &fragments,
-                &plan,
-                options.method,
-                &upstream,
-                &downstream,
-                &sic_counts,
-                &member_fingerprints,
-            );
+        if let Some(cache) = options.cache.as_deref() {
+            gather.store_back(cache);
             if cache.config().path.is_some() {
                 if let Err(e) = cache.persist() {
                     let severity = options.analysis.severity(LintCode::CacheDegraded);
@@ -462,6 +463,16 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                 }
             }
         }
+        let GatherRound {
+            upstream,
+            downstream,
+            sic_counts,
+            run: GraphRun {
+                stats: gather_stats,
+                ..
+            },
+            ..
+        } = gather;
 
         // Graceful degradation: when nodes failed permanently under
         // FailurePolicy::Degrade, shrink the plan until no lost consumer
@@ -609,130 +620,62 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         })
     }
 
-    /// The warm-start cache this run may consult: the configured one, and
-    /// only with dedup on — cache entries are keyed by structural hash,
-    /// and only the dedup engine path confirms true circuit equality
-    /// before merging histograms, so serving them without it would be
-    /// unsound. With dedup off the run is bit-identical to a cache-free
-    /// run by construction.
-    fn warm_cache<'o>(&self, options: &'o ExecutionOptions) -> Option<&'o WarmCache> {
-        options.cache.as_deref().filter(|_| options.dedup)
-    }
-
-    /// Stores each delivered setting histogram back into the warm cache,
-    /// keyed by `(structural hash, backend fingerprint, discipline)`.
-    /// First delivery wins per structural hash: deduplicated settings hand
-    /// back the *same* merged node histogram, which must be stored once.
-    ///
-    /// On a [`qcut_device::pool::BackendPool`] backend the fingerprint is
-    /// the *assigned member's* (`member_fingerprints`), never the pool
-    /// aggregate — so a later run against any one member (or a re-shuffled
-    /// pool) only ever warm-starts from histograms that member's
-    /// fingerprint actually measured.
-    #[allow(clippy::too_many_arguments)]
-    fn store_back(
-        &self,
-        cache: &WarmCache,
-        fragments: &Fragments,
-        plan: &BasisPlan,
-        method: ReconstructionMethod,
-        upstream: &HashMap<u64, Counts>,
-        downstream: &HashMap<u64, Counts>,
-        sic_counts: &HashMap<u64, Counts>,
-        member_fingerprints: &HashMap<u64, u64>,
-    ) {
-        let fingerprint = self.backend.cache_fingerprint();
-        let mut stored: HashSet<u64> = HashSet::new();
-        let mut store = |circuit: Circuit, counts: &Counts| {
-            let hash = circuit.structural_hash();
-            if stored.insert(hash) {
-                let member = member_fingerprints
-                    .get(&hash)
-                    .copied()
-                    .unwrap_or(fingerprint);
-                let key = CacheKey::new(hash, member, ShotDiscipline::Multinomial);
-                cache.store(&key, &circuit, counts);
-            }
-        };
-        for setting in plan.all_meas_settings() {
-            if let Some(counts) = upstream.get(&encode_meas(&setting)) {
-                store(
-                    build_upstream_circuit(&fragments.upstream, &setting),
-                    counts,
-                );
-            }
-        }
-        match method {
-            ReconstructionMethod::Eigenstate => {
-                for prep in plan.all_prep_settings() {
-                    if let Some(counts) = downstream.get(&encode_prep(&prep)) {
-                        store(
-                            build_downstream_circuit(&fragments.downstream, &prep),
-                            counts,
-                        );
-                    }
-                }
-            }
-            ReconstructionMethod::Sic => {
-                for states in all_sic_settings(fragments.num_cuts) {
-                    if let Some(counts) = sic_counts.get(&encode_sic(&states)) {
-                        store(build_sic_circuit(&fragments.downstream, &states), counts);
-                    }
-                }
-            }
-        }
-    }
-
     /// Plans and executes one gather round through the engine: builds the
     /// graph for `sched` (eigenstate and SIC are different builder
     /// combinations over the same engine — the SIC path registers
     /// upstream + SIC jobs only, never the eigenstate downstream half),
     /// seeds it with prior measurements (online-detection batches for a
-    /// first round, the pilot's histograms for an adaptive refine round),
-    /// then with any matching `warm` cross-run cache entries, and returns
-    /// the delivered channels plus accounting. The engine executes only
-    /// each node's missing shots, so same-run seeds count toward the
-    /// round's budget as `shots_saved` and warm-cache seeds as
-    /// `cache_shots_reused`.
+    /// first round, the pilot's delivered nodes for an adaptive refine
+    /// round), then with any matching `warm` cross-run cache entries, and
+    /// returns the delivered channels plus the executed graph and run.
+    /// The engine executes only each node's missing shots, so same-run
+    /// seeds count toward the round's budget as `shots_saved` and
+    /// warm-cache seeds as `cache_shots_reused`.
     ///
     /// The engine honors [`ExecutionOptions::retry`]; what still fails
     /// permanently either aborts the round
     /// ([`FailurePolicy::Fail`]) or is pushed onto `failures` while the
     /// salvaged sibling data is delivered ([`FailurePolicy::Degrade`]).
     #[allow(clippy::too_many_arguments)]
-    fn gather_round(
+    fn gather_round<'s>(
         &self,
         fragments: &Fragments,
         plan: &BasisPlan,
         options: &ExecutionOptions,
         sched: &ShotSchedule,
-        seeds: &HashMap<u64, (Circuit, Counts)>,
+        seeds: impl IntoIterator<Item = (&'s Circuit, &'s Counts)>,
         warm: Option<&WarmCache>,
         failures: &mut Vec<NodeFailure>,
     ) -> Result<GatherRound, PipelineError> {
-        let mut graph = gather_graph(fragments, plan, options, sched);
-        for (circuit, counts) in seeds.values() {
+        let mut graph = gather_graph(fragments, plan, options.method, sched);
+        for (circuit, counts) in seeds {
             graph.seed_counts(circuit, counts);
         }
         // On a pool backend, cache keys are per *member*: key each node by
         // the fingerprint of the member `JobGraph::placement` assigns it
         // to — the placement the engine shards by. Seeding is
         // shot-accounting only, so the placement the engine computes at
-        // execute time is unaffected by what the cache serves here.
-        let member_fingerprints = self.member_fingerprints(&graph);
-        if let Some(cache) = warm {
-            let fingerprint = self.backend.cache_fingerprint();
-            let node_circuits: Vec<Circuit> = graph.node_jobs().map(|(c, _)| c.clone()).collect();
-            for circuit in node_circuits {
-                let hash = circuit.structural_hash();
-                let member = member_fingerprints
-                    .get(&hash)
-                    .copied()
-                    .unwrap_or(fingerprint);
-                let key = CacheKey::new(hash, member, ShotDiscipline::Multinomial);
-                if let Some(counts) = cache.lookup(&key, &circuit) {
-                    graph.seed_counts_from_cache(&circuit, &counts);
-                }
+        // execute time is unaffected by what the cache serves here, and
+        // the same fingerprints key the round's store-back.
+        let fingerprints = options
+            .cache
+            .is_some()
+            .then(|| self.member_fingerprints(&graph));
+        if let (Some(cache), Some(fingerprints)) = (warm, &fingerprints) {
+            let hits: Vec<(Circuit, Counts)> = graph
+                .node_circuits()
+                .zip(fingerprints.iter().copied())
+                .filter_map(|(circuit, fingerprint)| {
+                    let key = CacheKey::new(
+                        circuit.structural_hash(),
+                        fingerprint,
+                        ShotDiscipline::Multinomial,
+                    );
+                    Some((circuit.clone(), cache.lookup(&key, circuit)?))
+                })
+                .collect();
+            for (circuit, counts) in &hits {
+                graph.seed_counts_from_cache(circuit, counts);
             }
         }
         let mut grun = match graph.execute(self.backend, &options.retry) {
@@ -753,31 +696,30 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             upstream: grun.take_channel(Channel::UpstreamMeas),
             downstream: grun.take_channel(Channel::DownstreamPrep),
             sic_counts: grun.take_channel(Channel::SicPrep),
-            stats: grun.stats,
-            member_fingerprints,
+            graph,
+            run: grun,
+            fingerprints,
         })
     }
 
-    /// Structural hash → member cache fingerprint for every node of a
-    /// planned graph when the bound backend is a
-    /// [`qcut_device::pool::BackendPool`] (empty map otherwise), by
-    /// [`JobGraph::placement`] — the assignment the engine shards by.
-    /// Nodes the placement cannot seat (over-capacity) fall back to the
-    /// pool's aggregate fingerprint; they fail before submission anyway,
-    /// so no histogram is ever stored under it.
-    fn member_fingerprints(&self, graph: &JobGraph) -> HashMap<u64, u64> {
+    /// The cache fingerprint of every node of a planned graph, in node
+    /// order: the bound backend's own, or on a
+    /// [`qcut_device::pool::BackendPool`] the fingerprint of the member
+    /// [`JobGraph::placement`] assigns the node to — the assignment the
+    /// engine shards by. Nodes the placement cannot seat (over-capacity)
+    /// fall back to the pool's aggregate fingerprint; they fail before
+    /// submission anyway, so no histogram is ever stored under it.
+    fn member_fingerprints(&self, graph: &JobGraph) -> Vec<u64> {
         let Some(pool) = self.backend.as_pool() else {
-            return HashMap::new();
+            return vec![self.backend.cache_fingerprint(); graph.num_nodes()];
         };
         graph
-            .node_circuits()
-            .zip(graph.placement(pool).assignment)
-            .map(|(circuit, member)| {
-                let fingerprint = match member {
-                    Some(m) => pool.member(m).cache_fingerprint(),
-                    None => pool.cache_fingerprint(),
-                };
-                (circuit.structural_hash(), fingerprint)
+            .placement(pool)
+            .assignment
+            .into_iter()
+            .map(|member| match member {
+                Some(m) => pool.member(m).cache_fingerprint(),
+                None => pool.cache_fingerprint(),
             })
             .collect()
     }
@@ -792,12 +734,9 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
     ///    scored per setting ([`neyman_scores`]) and the remaining budget
     ///    is apportioned `N ∝ √score` by largest remainder;
     /// 3. a **refine** round requests the cumulative per-setting targets,
-    ///    seeded with the pilot's delivered histograms — the engine
-    ///    executes exactly the refine increments and every consumer
-    ///    receives the merged two-round data. (With dedup off, the
-    ///    ablation baseline, the seed cache is disabled by design, so the
-    ///    round requests only the increments and the pilot's histograms
-    ///    are merged into the delivery directly — same data, same total.)
+    ///    seeded with the pilot's delivered nodes — the engine executes
+    ///    exactly the refine increments and every consumer receives the
+    ///    merged two-round data.
     ///
     /// Returns the final round's channels (cumulative histograms), the
     /// pilot's fresh shot count, and the round count (2).
@@ -828,13 +767,13 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let pilot = pilot_total(pilot_fraction, total);
         let pilot_sched = pilot_schedule(n_up, n_down, pilot)?;
         let failures_before_pilot = failures.len();
-        let pilot_run = self.gather_round(
+        let mut pilot_run = self.gather_round(
             fragments,
             plan,
             options,
             &pilot_sched,
-            detection_cache,
-            self.warm_cache(options),
+            detection_cache.values().map(|(c, n)| (c, n)),
+            options.cache.as_deref(),
             failures,
         )?;
         let pilot_degraded = failures.len() > failures_before_pilot;
@@ -846,10 +785,10 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         // uniform split; the final replan after the gather decides what
         // the reconstruction can still salvage.
         let pilot_data = FragmentData::from_counts(
-            pilot_run.upstream.clone(),
-            pilot_run.downstream.clone(),
-            pilot_run.stats.simulated_device_time,
-            pilot_run.stats.host_time,
+            std::mem::take(&mut pilot_run.upstream),
+            std::mem::take(&mut pilot_run.downstream),
+            pilot_run.run.stats.simulated_device_time,
+            pilot_run.run.stats.host_time,
         );
         let (up_scores, down_scores) = if pilot_degraded {
             (vec![1.0; n_up], vec![1.0; n_down])
@@ -866,7 +805,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                     let sic = SicData {
                         subcircuits: pilot_run.sic_counts.len(),
                         shots_per_setting: sic_shots / (pilot_run.sic_counts.len().max(1) as u64),
-                        counts: pilot_run.sic_counts.clone(),
+                        counts: std::mem::take(&mut pilot_run.sic_counts),
                         simulated_device_time: Duration::ZERO,
                     };
                     let down = sic_downstream_tensor(&fragments.downstream, plan, &sic);
@@ -879,97 +818,27 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             }
         };
 
-        // Round 2. With dedup on, the refine round requests the
-        // *cumulative* Neyman targets and is seeded with the pilot's
-        // histograms, so the engine executes exactly the refine increments
-        // and delivers the merged two-round data (the pilot reuse shows up
-        // as shots_saved). With dedup off — the ablation baseline —
-        // `seed_counts` is deliberately a no-op, so the round requests
-        // only the increments and the pilot's histograms are merged back
-        // into the delivery here: either way both rounds together execute
-        // exactly `total` fresh shots.
+        // Round 2: the refine round requests the *cumulative* Neyman
+        // targets and is seeded with the pilot's delivered nodes, so the
+        // engine executes exactly the refine increments and delivers the
+        // merged two-round data (the pilot reuse shows up as shots_saved).
+        // A degraded pilot's failed nodes delivered nothing and so seed
+        // nothing.
         let cumulative = refine_schedule(&pilot_sched, &up_scores, &down_scores, total - pilot);
-        let mut refine_run = if options.dedup {
-            // `get` (not index) throughout: a degraded pilot delivered
-            // nothing for its failed settings, which then simply have no
-            // seed to ride.
-            let mut seeds: HashMap<u64, (Circuit, Counts)> = HashMap::new();
-            for setting in plan.all_meas_settings() {
-                if let Some(counts) = pilot_run.upstream.get(&encode_meas(&setting)) {
-                    seed_once(
-                        &mut seeds,
-                        build_upstream_circuit(&fragments.upstream, &setting),
-                        counts,
-                    );
-                }
-            }
-            match options.method {
-                ReconstructionMethod::Eigenstate => {
-                    for prep in plan.all_prep_settings() {
-                        if let Some(counts) = pilot_run.downstream.get(&encode_prep(&prep)) {
-                            seed_once(
-                                &mut seeds,
-                                build_downstream_circuit(&fragments.downstream, &prep),
-                                counts,
-                            );
-                        }
-                    }
-                }
-                ReconstructionMethod::Sic => {
-                    for states in all_sic_settings(num_cuts) {
-                        if let Some(counts) = pilot_run.sic_counts.get(&encode_sic(&states)) {
-                            seed_once(
-                                &mut seeds,
-                                build_sic_circuit(&fragments.downstream, &states),
-                                counts,
-                            );
-                        }
-                    }
-                }
-            }
-            self.gather_round(
-                fragments,
-                plan,
-                options,
-                &cumulative,
-                &seeds,
-                None,
-                failures,
-            )?
-        } else {
-            let increments = ShotSchedule {
-                upstream: cumulative
-                    .upstream
-                    .iter()
-                    .zip(&pilot_sched.upstream)
-                    .map(|(&c, &p)| c - p)
-                    .collect(),
-                downstream: cumulative
-                    .downstream
-                    .iter()
-                    .zip(&pilot_sched.downstream)
-                    .map(|(&c, &p)| c - p)
-                    .collect(),
-            };
-            let mut run = self.gather_round(
-                fragments,
-                plan,
-                options,
-                &increments,
-                &HashMap::new(),
-                None,
-                failures,
-            )?;
-            merge_channel(&mut run.upstream, pilot_data.upstream);
-            merge_channel(&mut run.downstream, pilot_data.downstream);
-            merge_channel(&mut run.sic_counts, pilot_run.sic_counts.clone());
-            run
-        };
+        let mut refine_run = self.gather_round(
+            fragments,
+            plan,
+            options,
+            &cumulative,
+            pilot_run.nodes().filter_map(|(c, n)| Some((c, n?))),
+            None,
+            failures,
+        )?;
 
-        let pilot_shots = pilot_run.stats.shots_executed;
-        let mut stats = pilot_run.stats;
-        stats.absorb(&refine_run.stats);
-        refine_run.stats = stats;
+        let pilot_shots = pilot_run.run.stats.shots_executed;
+        let mut stats = pilot_run.run.stats;
+        stats.absorb(&refine_run.run.stats);
+        refine_run.run.stats = stats;
         Ok((refine_run, pilot_shots, 2))
     }
 
@@ -998,9 +867,9 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
 
     /// Online golden detection: batches of upstream measurements per cut
     /// until every cut reaches a verdict (paper §IV). Each round's settings
-    /// are executed as one engine batch; all measurements accumulate in
-    /// `cache` (keyed by circuit structural hash) so the main gather can
-    /// reuse them, and `stats` absorbs the engine accounting.
+    /// are executed as one engine batch; every delivered node accumulates
+    /// in `cache` (keyed by circuit structural hash) so the main gather can
+    /// reuse it, and `stats` absorbs the engine accounting.
     /// Under [`FailurePolicy::Degrade`], a detection batch that fails
     /// permanently (after retries) downgrades the affected cut to
     /// `NotGolden` — the safe verdict: the full basis set stays scheduled
@@ -1033,23 +902,15 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                             });
                         }
                         let settings = detector.required_settings();
-                        let circuits: Vec<Circuit> = settings
-                            .iter()
-                            .map(|s| build_upstream_circuit(&fragments.upstream, s))
-                            .collect();
-                        let mut graph = if options.dedup {
-                            JobGraph::new()
-                        } else {
-                            JobGraph::without_dedup()
-                        };
-                        for (setting, circuit) in settings.iter().zip(&circuits) {
+                        let mut graph = JobGraph::new();
+                        for setting in &settings {
                             graph.add_job(
-                                circuit.clone(),
+                                build_upstream_circuit(&fragments.upstream, setting),
                                 (Channel::Detection, encode_meas(setting)),
                                 config.batch_shots,
                             );
                         }
-                        let mut grun = match graph.execute(self.backend, &options.retry) {
+                        let grun = match graph.execute(self.backend, &options.retry) {
                             Ok(run) => run,
                             Err(failure) => match options.failure {
                                 FailurePolicy::Fail => return Err(failure.into()),
@@ -1066,25 +927,27 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                                 }
                             },
                         };
-                        let mut batch = grun.take_channel(Channel::Detection);
                         stats.absorb(&grun.stats);
-                        for (setting, circuit) in settings.iter().zip(circuits) {
-                            let counts = batch
-                                .remove(&encode_meas(setting))
+                        for setting in &settings {
+                            let counts = grun
+                                .counts(&(Channel::Detection, encode_meas(setting)))
                                 .expect("detection counts per required setting");
-                            detector.feed(setting, &counts);
+                            detector.feed(setting, counts);
+                        }
+                        for (circuit, counts) in graph.node_circuits().zip(grun.node_counts()) {
+                            let Some(counts) = counts else { continue };
                             match cache.entry(circuit.structural_hash()) {
                                 Entry::Occupied(mut e) => {
                                     let (stored, merged) = e.get_mut();
                                     // Merge only on true structural equality —
                                     // a 64-bit hash collision must not mix
                                     // another circuit's histogram in.
-                                    if *stored == circuit {
-                                        merged.merge(&counts);
+                                    if stored == circuit {
+                                        merged.merge(counts);
                                     }
                                 }
                                 Entry::Vacant(e) => {
-                                    e.insert((circuit, counts));
+                                    e.insert((circuit.clone(), counts.clone()));
                                 }
                             }
                         }
@@ -1273,6 +1136,54 @@ mod tests {
             .run(&circuit, &bad, GoldenPolicy::Disabled, &opts)
             .unwrap_err();
         assert!(matches!(err, PipelineError::Fragment(_)));
+    }
+
+    #[test]
+    fn invalid_cut_is_reported_as_fragment_error_when_qa101_is_allowed() {
+        // Analysis runs and fragments, but an Allow-level QA101 reports
+        // nothing; the run surfaces analysis's own fragmenting error.
+        let (circuit, _) = GoldenAnsatz::new(5, 0).build();
+        let backend = IdealBackend::new(0);
+        let bad = CutSpec::single(0, 99);
+        let opts = ExecutionOptions {
+            shots_per_setting: 100,
+            analysis: AnalysisConfig::default()
+                .with_override(LintCode::InvalidCut, Severity::Allow),
+            ..Default::default()
+        };
+        let err = CutExecutor::new(&backend)
+            .run(&circuit, &bad, GoldenPolicy::Disabled, &opts)
+            .unwrap_err();
+        assert!(matches!(err, PipelineError::Fragment(_)), "{err:?}");
+    }
+
+    #[test]
+    fn malformed_ir_is_rejected_by_analysis_not_a_panic() {
+        // An out-of-range operand stops analysis before it fragments; the
+        // Deny-level QA001 must end the run before anything indexes the
+        // bad wire.
+        use qcut_circuit::circuit::Instruction;
+        use qcut_circuit::gate::Gate;
+        let circuit = Circuit::from_instructions_unchecked(
+            2,
+            vec![Instruction {
+                gate: Gate::H,
+                qubits: vec![7],
+            }],
+        );
+        let backend = IdealBackend::new(0);
+        let err = CutExecutor::new(&backend)
+            .run(
+                &circuit,
+                &CutSpec::single(0, 0),
+                GoldenPolicy::Disabled,
+                &options(100),
+            )
+            .unwrap_err();
+        let PipelineError::Analysis(diags) = err else {
+            panic!("expected analysis rejection, got {err:?}");
+        };
+        assert!(diags.contains(LintCode::OutOfRangeOperand));
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! * `gather_graph` builds either gather for the pipeline and for static
 //!   analysis, so both plan the same graph;
 //! * online detection registers its per-round jobs inline in
-//!   [`crate::pipeline`] (it needs the built circuits for the reuse cache)
-//!   and seeds the measured counts back into the gather graph;
+//!   [`crate::pipeline`], merges each batch's delivered nodes into its
+//!   reuse map, and seeds them into the gather graph;
 //! * an adaptive refine round re-plans the same builders with the
-//!   cumulative Neyman schedule and seeds the pilot's histograms
-//!   (see [`crate::pipeline::CutExecutor::run`]).
+//!   cumulative Neyman schedule and seeds the pilot round's delivered
+//!   nodes (see [`crate::pipeline::CutExecutor::run`]).
+//!
+//! Every graph deduplicates: structurally identical circuits share one
+//! node.
 //!
 //! # Example
 //!
@@ -47,7 +50,7 @@ use crate::allocation::ShotSchedule;
 use crate::basis::{encode_meas, encode_prep, BasisPlan};
 use crate::fragment::{Fragment, Fragments};
 use crate::jobgraph::{Channel, ConsumerKey, JobGraph};
-use crate::pipeline::{ExecutionOptions, ReconstructionMethod};
+use crate::pipeline::ReconstructionMethod;
 use crate::sic::{all_sic_settings, build_sic_circuit, encode_sic};
 use crate::tomography::{build_downstream_circuit, build_upstream_circuit};
 use qcut_circuit::circuit::Circuit;
@@ -180,23 +183,19 @@ pub fn add_sic_jobs(graph: &mut JobGraph, downstream: &Fragment, num_cuts: usize
 }
 
 /// The graph of one gather round for `sched`: upstream measurement jobs
-/// plus the downstream half `options.method` reads (eigenstate or SIC
+/// plus the downstream half `method` reads (eigenstate or SIC
 /// preparations — the SIC path never builds an eigenstate downstream
-/// job), deduplicated when `options.dedup` is set. The pipeline executes
-/// this graph; static analysis only inspects it.
+/// job). The pipeline executes this graph; static analysis only inspects
+/// it.
 pub(crate) fn gather_graph(
     fragments: &Fragments,
     plan: &BasisPlan,
-    options: &ExecutionOptions,
+    method: ReconstructionMethod,
     sched: &ShotSchedule,
 ) -> JobGraph {
-    let mut graph = if options.dedup {
-        JobGraph::new()
-    } else {
-        JobGraph::without_dedup()
-    };
+    let mut graph = JobGraph::new();
     add_upstream_jobs(&mut graph, fragments, plan, &sched.upstream);
-    match options.method {
+    match method {
         ReconstructionMethod::Eigenstate => {
             add_downstream_jobs(&mut graph, fragments, plan, &sched.downstream);
         }
@@ -409,11 +408,7 @@ mod tests {
                             ReconstructionMethod::Sic => schedule_sic(plan, allocation),
                         }
                         .unwrap();
-                        let options = ExecutionOptions {
-                            method,
-                            ..Default::default()
-                        };
-                        let g = gather_graph(&frags, plan, &options, &sched);
+                        let g = gather_graph(&frags, plan, method, &sched);
                         let case =
                             format!("K={k} {method:?} {:?} {allocation:?}", plan.neglected());
                         let mut keys = HashSet::new();

@@ -610,55 +610,6 @@ fn adaptive_composes_with_online_detection_and_dedup() {
     assert!(d < 0.06, "adaptive+detection reconstruction off by {d}");
 }
 
-/// With dedup off (the ablation baseline) `JobGraph::seed_counts` is a
-/// deliberate no-op, so the refine round requests only the increments and
-/// the pilot's histograms merge into the delivery directly — the two
-/// rounds must still spend exactly `total` fresh shots and keep the
-/// pilot's data.
-#[test]
-fn adaptive_without_dedup_still_spends_exactly_its_total() {
-    let (circuit, cut) = GoldenAnsatz::new(5, 317).build();
-    let truth = Distribution::from_values(5, StateVector::from_circuit(&circuit).probabilities());
-    let total = 90_000u64;
-    let backend = IdealBackend::new(73);
-    let run = CutExecutor::new(&backend)
-        .run(
-            &circuit,
-            &cut,
-            GoldenPolicy::Disabled,
-            &ExecutionOptions {
-                allocation: Some(ShotAllocation::Adaptive {
-                    pilot_fraction: 0.2,
-                    total,
-                }),
-                dedup: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    let report = &run.report;
-    assert_eq!(report.rounds, 2);
-    assert_eq!(report.pilot_shots, total / 5);
-    assert_eq!(
-        report.pilot_shots + report.total_shots,
-        total,
-        "ablation must not overspend the budget"
-    );
-    // Nothing is seeded or merged on the engine, so nothing is saved —
-    // the pilot data reaches the reconstruction via an explicit merge.
-    assert_eq!(report.shots_saved, 0);
-    assert_eq!(
-        report.shots_requested,
-        report.detection_shots
-            + report.pilot_shots
-            + report.total_shots
-            + report.shots_saved
-            + report.cache_shots_reused
-    );
-    let d = total_variation_distance(&run.distribution, &truth);
-    assert!(d < 0.05, "dedup-off adaptive reconstruction off by {d}");
-}
-
 /// A pilot fraction that rounds below one-shot-per-setting surfaces as
 /// the typed pilot error, not a panic. (The static-analysis gate flags
 /// the same starvation as `QA201` even earlier, so this test disables it

@@ -565,12 +565,10 @@ fn promoting_all(options: ExecutionOptions) -> ExecutionOptions {
     }
 }
 
-/// `code severity` per finding, in emission order. The graph-layer codes
-/// QA301–QA304 are skipped: they are no longer part of the analysis.
+/// `code severity` per finding, in emission order.
 fn sequence(diags: &Diagnostics) -> Vec<String> {
     diags
         .iter()
-        .filter(|d| !d.code.to_string().starts_with("QA3"))
         .map(|d| format!("{} {}", d.code, d.severity))
         .collect()
 }

@@ -57,6 +57,31 @@ fn warm_rerun_is_bit_identical_and_executes_nothing() {
     );
 }
 
+/// The SIC gather stores back every node it delivered — 3 upstream
+/// measurements plus 4 SIC preparations, one entry each — and a warm
+/// rerun replays them bit-identically without executing.
+#[test]
+fn sic_warm_rerun_stores_every_node_and_executes_nothing() {
+    let (circuit, cut) = workload();
+    let cache = Arc::new(WarmCache::open(CacheConfig::in_memory()));
+    let options = ExecutionOptions {
+        method: ReconstructionMethod::Sic,
+        ..options_with_cache(Some(cache.clone()))
+    };
+    let backend = IdealBackend::new(8);
+    let cold = CutExecutor::new(&backend)
+        .run(&circuit, &cut, GoldenPolicy::Disabled, &options)
+        .unwrap();
+    assert_eq!(cold.report.jobs_executed, 3 + 4);
+    assert_eq!(cache.entries(), 3 + 4);
+    let warm = CutExecutor::new(&backend)
+        .run(&circuit, &cut, GoldenPolicy::Disabled, &options)
+        .unwrap();
+    assert_eq!(warm.report.jobs_executed, 0);
+    assert_eq!(warm.report.cache_shots_reused, warm.report.shots_requested);
+    assert_eq!(warm.distribution.values(), cold.distribution.values());
+}
+
 /// The two ideal backends above share a fingerprint only because
 /// `cache_fingerprint` deliberately ignores the RNG seed (histograms from
 /// different seeds are statistically poolable). Pin that contract
@@ -100,40 +125,6 @@ fn no_cache_and_empty_cache_are_bit_identical_to_default() {
     assert_eq!(none.report.total_shots, empty.report.total_shots);
     assert_eq!(none.report.jobs_executed, empty.report.jobs_executed);
     assert_eq!(empty.report.cache_shots_reused, 0);
-}
-
-/// With dedup off (the ablation baseline) the cache is bypassed entirely:
-/// no hits, no reuse, and the delivered result matches the cache-free
-/// ablation bit for bit.
-#[test]
-fn ablation_without_dedup_bypasses_the_cache() {
-    let (circuit, cut) = workload();
-    let cache = Arc::new(WarmCache::open(CacheConfig::in_memory()));
-    let run = |cache: Option<Arc<WarmCache>>| {
-        let backend = IdealBackend::new(91);
-        CutExecutor::new(&backend)
-            .run(
-                &circuit,
-                &cut,
-                GoldenPolicy::Disabled,
-                &ExecutionOptions {
-                    shots_per_setting: 2000,
-                    dedup: false,
-                    cache,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-    };
-    let with_cache = run(Some(cache.clone()));
-    assert_eq!(with_cache.report.cache_hits, 0);
-    assert_eq!(with_cache.report.cache_shots_reused, 0);
-    assert_eq!(cache.entries(), 0, "nothing may be stored either");
-    let without = run(None);
-    assert_eq!(
-        with_cache.distribution.values(),
-        without.distribution.values()
-    );
 }
 
 /// Histograms gathered on the ideal backend are never served to a noisy

@@ -150,31 +150,6 @@ fn online_detection_data_is_reused_by_the_gather() {
 }
 
 #[test]
-fn detection_reuse_is_disabled_without_dedup() {
-    let (circuit, cut) = non_golden();
-    let config = OnlineConfig {
-        epsilon: 0.05,
-        batch_shots: 2000,
-        ..OnlineConfig::default()
-    };
-    let backend = IdealBackend::new(5);
-    let run = CutExecutor::new(&backend)
-        .run(
-            &circuit,
-            &cut,
-            GoldenPolicy::DetectOnline(config),
-            &ExecutionOptions {
-                shots_per_setting: 4000,
-                dedup: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    assert_eq!(run.report.shots_saved, 0);
-    assert_eq!(run.report.jobs_executed, run.report.jobs_planned);
-}
-
-#[test]
 fn repeated_subcircuit_workload_dedups_across_consumers() {
     // The engine-level picture of a repeated-subcircuit ansatz: many
     // reconstruction terms consuming the same few unique circuits.
