@@ -36,10 +36,9 @@ use qcut_core::basis::BasisPlan;
 use qcut_core::execution::gather;
 use qcut_core::fragment::{Fragmenter, Fragments};
 use qcut_core::golden::GoldenPolicy;
-use qcut_core::pipeline::{CutExecutor, ExecutionOptions};
+use qcut_core::pipeline::{CutExecutor, ExecutionOptions, ReconstructionMethod};
 use qcut_core::reconstruction::{exact_downstream_tensor, exact_upstream_tensor};
 use qcut_core::retry::RetryPolicy;
-use qcut_core::tomography::ExperimentPlan;
 use qcut_core::variance::{neyman_scores, variance_from_schedule};
 use qcut_device::ideal::IdealBackend;
 
@@ -105,17 +104,23 @@ criterion_group!(benches, bench_adaptive);
 /// summary can judge it with the same exact-tensor metric as the static
 /// policies.
 fn adaptive_schedule(frags: &Fragments, plan: &BasisPlan, total: u64) -> ShotSchedule {
-    let experiment = ExperimentPlan::build(frags, plan);
     let pilot = pilot_total(PILOT_FRACTION, total);
     let pilot_sched = pilot_schedule(
-        experiment.upstream.len(),
-        experiment.downstream.len(),
+        plan.all_meas_settings().len(),
+        plan.all_prep_settings().len(),
         pilot,
     )
     .expect("pilot covers the plan");
     let backend = IdealBackend::new(29);
-    let data =
-        gather(&backend, &experiment, &pilot_sched, &RetryPolicy::default()).expect("pilot gather");
+    let data = gather(
+        &backend,
+        frags,
+        plan,
+        ReconstructionMethod::Eigenstate,
+        &pilot_sched,
+        &RetryPolicy::default(),
+    )
+    .expect("pilot gather");
     let up = qcut_core::reconstruction::upstream_tensor(&frags.upstream, plan, &data);
     let down = qcut_core::reconstruction::downstream_tensor(&frags.downstream, plan, &data);
     let scores = neyman_scores(frags, plan, &up, &down);

@@ -18,7 +18,6 @@ use qcut_circuit::ansatz::MultiCutAnsatz;
 use qcut_core::basis::BasisPlan;
 use qcut_core::fragment::Fragmenter;
 use qcut_core::reconstruction::exact_reconstruct;
-use qcut_core::tomography::ExperimentPlan;
 use qcut_math::Pauli;
 use qcut_sim::statevector::StateVector;
 use qcut_stats::distance::total_variation_distance;
@@ -66,15 +65,14 @@ fn main() {
         let mut row: Vec<String> = vec![format!("{k:>2} {:>8}", circuit.num_qubits())];
         let mut tvds = Vec::new();
         for plan in [&standard, &golden] {
-            let experiment = ExperimentPlan::build(&frags, plan);
             let started = Instant::now();
             let recon = exact_reconstruct(&frags, plan);
             let ms = started.elapsed().as_secs_f64() * 1000.0;
             tvds.push(total_variation_distance(&recon, &truth));
             row.push(format!(
                 "{:>9} {:>9} {:>7} {:>12.3}",
-                experiment.upstream.len(),
-                experiment.downstream.len(),
+                plan.all_meas_settings().len(),
+                plan.all_prep_settings().len(),
                 plan.all_recon_strings().len(),
                 ms
             ));

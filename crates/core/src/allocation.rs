@@ -50,7 +50,6 @@
 
 use crate::basis::{encode_meas, encode_prep, BasisPlan};
 use crate::sic::all_sic_settings;
-use crate::tomography::ExperimentPlan;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -165,11 +164,10 @@ impl fmt::Display for AllocationError {
 
 impl std::error::Error for AllocationError {}
 
-/// Concrete per-setting shot counts, aligned with an [`ExperimentPlan`]'s
-/// variant order (equivalently [`BasisPlan::all_meas_settings`] /
-/// [`BasisPlan::all_prep_settings`] order, which is how the plan builds
-/// its variants; for SIC schedules the downstream half is aligned with
-/// [`all_sic_settings`]).
+/// Concrete per-setting shot counts, aligned with
+/// [`BasisPlan::all_meas_settings`] / [`BasisPlan::all_prep_settings`]
+/// order — the order the planner's builders consume; for SIC schedules the
+/// downstream half is aligned with [`all_sic_settings`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShotSchedule {
     /// Shots for each upstream variant.
@@ -465,32 +463,6 @@ fn usage_weights(
     (up_w, down_w)
 }
 
-/// Builds the concrete schedule for an eigenstate experiment plan and an
-/// allocation policy. The schedule is aligned with `experiment`'s variant
-/// order.
-pub fn schedule(
-    basis: &BasisPlan,
-    experiment: &ExperimentPlan,
-    allocation: ShotAllocation,
-) -> Result<ShotSchedule, AllocationError> {
-    let up_keys: Vec<u64> = experiment
-        .upstream
-        .iter()
-        .map(|v| encode_meas(&v.setting))
-        .collect();
-    let down_keys: Vec<u64> = experiment
-        .downstream
-        .iter()
-        .map(|v| encode_prep(&v.preparation))
-        .collect();
-    schedule_for_keys(
-        basis,
-        &up_keys,
-        DownstreamKeys::Keyed(&down_keys),
-        allocation,
-    )
-}
-
 /// Builds the eigenstate-gather schedule straight from a [`BasisPlan`]
 /// (no subcircuits constructed): `upstream[i]` pairs with the i-th entry
 /// of [`BasisPlan::all_meas_settings`], `downstream[i]` with the i-th of
@@ -546,28 +518,22 @@ pub fn schedule_sic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::Fragmenter;
-    use qcut_circuit::ansatz::GoldenAnsatz;
+    use crate::jobgraph::Channel;
     use qcut_math::Pauli;
 
-    fn plan_pair(golden: bool) -> (BasisPlan, ExperimentPlan) {
-        let (c, spec) = GoldenAnsatz::new(5, 1).build();
-        let frags = Fragmenter::fragment(&c, &spec).unwrap();
-        let basis = if golden {
+    fn basis_for(golden: bool) -> BasisPlan {
+        if golden {
             BasisPlan::with_neglected(vec![Some(Pauli::Y)])
         } else {
             BasisPlan::standard(1)
-        };
-        let experiment = ExperimentPlan::build(&frags, &basis);
-        (basis, experiment)
+        }
     }
 
     #[test]
     fn uniform_schedule_matches_paper() {
-        let (basis, experiment) = plan_pair(false);
-        let s = schedule(
+        let basis = basis_for(false);
+        let s = schedule_for_plan(
             &basis,
-            &experiment,
             ShotAllocation::Uniform {
                 shots_per_setting: 1000,
             },
@@ -580,13 +546,8 @@ mod tests {
 
     #[test]
     fn total_budget_is_exactly_spent() {
-        let (basis, experiment) = plan_pair(false);
-        let s = schedule(
-            &basis,
-            &experiment,
-            ShotAllocation::TotalBudget { total: 9005 },
-        )
-        .unwrap();
+        let basis = basis_for(false);
+        let s = schedule_for_plan(&basis, ShotAllocation::TotalBudget { total: 9005 }).unwrap();
         assert_eq!(s.total(), 9005);
         // No setting starves and the split is near-even, remainder to the
         // earliest settings.
@@ -618,24 +579,19 @@ mod tests {
 
     #[test]
     fn weighted_schedule_favours_z_setting_and_spends_exactly() {
-        let (basis, experiment) = plan_pair(false);
-        let s = schedule(
-            &basis,
-            &experiment,
-            ShotAllocation::WeightedByUsage { total: 90_000 },
-        )
-        .unwrap();
+        let basis = basis_for(false);
+        let s =
+            schedule_for_plan(&basis, ShotAllocation::WeightedByUsage { total: 90_000 }).unwrap();
         // Find the Z setting's index.
         use crate::basis::MeasBasis;
-        let z_idx = experiment
-            .upstream
+        let settings = basis.all_meas_settings();
+        let z_idx = settings
             .iter()
-            .position(|v| v.setting == vec![MeasBasis::Z])
+            .position(|v| v == &vec![MeasBasis::Z])
             .unwrap();
-        let x_idx = experiment
-            .upstream
+        let x_idx = settings
             .iter()
-            .position(|v| v.setting == vec![MeasBasis::X])
+            .position(|v| v == &vec![MeasBasis::X])
             .unwrap();
         assert!(
             s.upstream[z_idx] > s.upstream[x_idx],
@@ -649,13 +605,9 @@ mod tests {
 
     #[test]
     fn weighted_schedule_on_golden_plan() {
-        let (basis, experiment) = plan_pair(true);
-        let s = schedule(
-            &basis,
-            &experiment,
-            ShotAllocation::WeightedByUsage { total: 60_000 },
-        )
-        .unwrap();
+        let basis = basis_for(true);
+        let s =
+            schedule_for_plan(&basis, ShotAllocation::WeightedByUsage { total: 60_000 }).unwrap();
         assert_eq!(s.upstream.len(), 2);
         assert_eq!(s.downstream.len(), 4);
         assert!(s.min_shots() > 0);
@@ -664,21 +616,52 @@ mod tests {
 
     #[test]
     fn schedule_for_plan_matches_experiment_schedule() {
-        // The plan-only entry point must produce the same schedule as the
-        // experiment-based one (the variants are built from the same
-        // enumerations).
-        let (basis, experiment) = plan_pair(false);
-        for alloc in [
-            ShotAllocation::Uniform {
-                shots_per_setting: 700,
-            },
-            ShotAllocation::TotalBudget { total: 9999 },
-            ShotAllocation::WeightedByUsage { total: 12_345 },
+        // The schedule is what the planned gather requests: every consumer
+        // of the gather graph asks for exactly its setting's entry.
+        use crate::fragment::Fragmenter;
+        use crate::pipeline::ReconstructionMethod;
+        use crate::planner::gather_graph;
+        use qcut_circuit::ansatz::GoldenAnsatz;
+        let (c, spec) = GoldenAnsatz::new(5, 1).build();
+        let frags = Fragmenter::fragment(&c, &spec).unwrap();
+        for (golden, method) in [
+            (false, ReconstructionMethod::Eigenstate),
+            (true, ReconstructionMethod::Eigenstate),
+            (false, ReconstructionMethod::Sic),
         ] {
-            assert_eq!(
-                schedule_for_plan(&basis, alloc).unwrap(),
-                schedule(&basis, &experiment, alloc).unwrap()
-            );
+            let basis = basis_for(golden);
+            let up_keys: Vec<u64> = basis
+                .all_meas_settings()
+                .iter()
+                .map(|s| encode_meas(s))
+                .collect();
+            let down_keys = method.prep_keys(&basis);
+            for alloc in [
+                ShotAllocation::Uniform {
+                    shots_per_setting: 700,
+                },
+                ShotAllocation::TotalBudget { total: 9999 },
+                ShotAllocation::WeightedByUsage { total: 12_345 },
+            ] {
+                let sched = method.schedule(&basis, alloc).unwrap();
+                let graph = gather_graph(&frags, &basis, method, &sched);
+                let mut requested = 0;
+                for (_, consumers) in graph.node_jobs() {
+                    for &((channel, key), shots) in consumers {
+                        let want = if channel == Channel::UpstreamMeas {
+                            let i = up_keys.iter().position(|&k| k == key).unwrap();
+                            sched.upstream[i]
+                        } else {
+                            assert_eq!(channel, method.downstream_channel());
+                            let i = down_keys.iter().position(|&k| k == key).unwrap();
+                            sched.downstream[i]
+                        };
+                        assert_eq!(shots, want, "{method:?} {alloc:?} {channel:?}/{key}");
+                        requested += shots;
+                    }
+                }
+                assert_eq!(requested, sched.total(), "{method:?} {alloc:?}");
+            }
         }
     }
 
@@ -703,14 +686,14 @@ mod tests {
 
     #[test]
     fn starved_budget_is_a_typed_error_per_policy() {
-        let (basis, experiment) = plan_pair(false);
+        let basis = basis_for(false);
         // 9 settings: totals below 9 must fail for both total-budget
         // policies, with the exact shortfall reported.
         for alloc in [
             ShotAllocation::TotalBudget { total: 5 },
             ShotAllocation::WeightedByUsage { total: 8 },
         ] {
-            let err = schedule(&basis, &experiment, alloc).unwrap_err();
+            let err = schedule_for_plan(&basis, alloc).unwrap_err();
             assert!(matches!(
                 err,
                 AllocationError::BudgetTooSmall { settings: 9, .. }
@@ -718,21 +701,15 @@ mod tests {
             assert!(err.to_string().contains("9 settings"));
         }
         // Uniform has no total to undershoot: it is infallible.
-        assert!(schedule(
+        assert!(schedule_for_plan(
             &basis,
-            &experiment,
             ShotAllocation::Uniform {
                 shots_per_setting: 1
             }
         )
         .is_ok());
         // The exact boundary succeeds with one shot everywhere.
-        let s = schedule(
-            &basis,
-            &experiment,
-            ShotAllocation::WeightedByUsage { total: 9 },
-        )
-        .unwrap();
+        let s = schedule_for_plan(&basis, ShotAllocation::WeightedByUsage { total: 9 }).unwrap();
         assert_eq!(s.total(), 9);
         assert_eq!(s.min_shots(), 1);
     }
@@ -817,12 +794,11 @@ mod tests {
         // Without pilot data, scheduling an interior-fraction Adaptive
         // policy falls back to pilot-even + usage-weighted refine — and
         // still spends exactly its total.
-        let (basis, experiment) = plan_pair(false);
+        let basis = basis_for(false);
         // pilot = ⌈0.2·total⌋ must cover the 9 settings, so total ≥ 45.
         for total in [45u64, 90, 9001, 90_000] {
-            let s = schedule(
+            let s = schedule_for_plan(
                 &basis,
-                &experiment,
                 ShotAllocation::Adaptive {
                     pilot_fraction: 0.2,
                     total,
@@ -833,9 +809,8 @@ mod tests {
         }
         // A fraction that rounds the pilot below one-shot-per-setting is
         // the typed pilot error.
-        let err = schedule(
+        let err = schedule_for_plan(
             &basis,
-            &experiment,
             ShotAllocation::Adaptive {
                 pilot_fraction: 0.0001,
                 total: 9000,

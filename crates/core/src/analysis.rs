@@ -36,9 +36,7 @@
 //! assert!(diags.is_clean(), "example workloads lint clean: {diags}");
 //! ```
 
-use crate::allocation::{
-    schedule_for_plan, schedule_sic, AllocationError, ShotAllocation, ShotSchedule,
-};
+use crate::allocation::{AllocationError, ShotAllocation, ShotSchedule};
 use crate::basis::BasisPlan;
 use crate::fragment::{FragmentError, Fragmenter, Fragments};
 use crate::jobgraph::{ConsumerKey, JobGraph};
@@ -594,17 +592,10 @@ pub fn minimal_golden_plan(num_cuts: usize) -> BasisPlan {
 /// Setting count of `plan` without enumerating the cartesian products
 /// (which would be exponential work for large `K`).
 fn estimated_settings(plan: &BasisPlan, method: ReconstructionMethod) -> f64 {
-    let num_cuts = plan.num_cuts();
-    let up: f64 = (0..num_cuts)
+    let up: f64 = (0..plan.num_cuts())
         .map(|k| plan.meas_bases(k).len() as f64)
         .product();
-    let down: f64 = match method {
-        ReconstructionMethod::Eigenstate => (0..num_cuts)
-            .map(|k| plan.prep_states(k).len() as f64)
-            .product(),
-        ReconstructionMethod::Sic => 4f64.powi(num_cuts as i32),
-    };
-    up + down
+    up + method.estimated_preps(plan)
 }
 
 /// Whether `a` then `b` on identical operands is a pair a transpiler
@@ -622,19 +613,6 @@ fn fusible_pair(a: &Gate, b: &Gate) -> bool {
             | (Gate::CPhase(_), Gate::CPhase(_))
     );
     same_family || *b == a.adjoint()
-}
-
-/// Predicted schedule of `plan` under `allocation` — the same typed
-/// scheduling functions the pipeline runs, called statically.
-fn predicted_schedule(
-    plan: &BasisPlan,
-    method: ReconstructionMethod,
-    allocation: ShotAllocation,
-) -> Result<ShotSchedule, AllocationError> {
-    match method {
-        ReconstructionMethod::Eigenstate => schedule_for_plan(plan, allocation),
-        ReconstructionMethod::Sic => schedule_sic(plan, allocation),
-    }
 }
 
 /// The largest consumer demand of one planned node.
@@ -1187,12 +1165,10 @@ fn analyze_inner(
         // budget they are skipped to keep analysis cheap (QA102 has
         // already flagged the blowup).
         if estimated_settings(&plan, method) <= options.analysis.max_planned_jobs as f64 {
-            let standard = predicted_schedule(&plan, method, ctx.allocation);
-            let floor = predicted_schedule(
-                &minimal_golden_plan(plan.num_cuts()),
-                method,
-                ctx.allocation,
-            );
+            // The same typed scheduling the pipeline runs, called
+            // statically.
+            let standard = method.schedule(&plan, ctx.allocation);
+            let floor = method.schedule(&minimal_golden_plan(plan.num_cuts()), ctx.allocation);
             ctx.standard = Some(&standard);
             ctx.floor = Some(&floor);
             run_layer(Layer::Schedule, &ctx, &mut items);

@@ -1,15 +1,20 @@
-//! Running an [`ExperimentPlan`] on a backend and collecting fragment data.
+//! Running one gather on a backend and collecting [`FragmentData`].
 //!
 //! Fragments "can be simulated independently … run fragments in parallel"
-//! (paper §II-A): all subcircuit variants are registered on a
-//! [`crate::jobgraph::JobGraph`] and executed as one batched, deduplicated
-//! backend submission.
+//! (paper §II-A): [`gather`] plans every subcircuit variant of a
+//! [`BasisPlan`] with the planner's gather graph — the same graph, in the
+//! same job order, that [`crate::pipeline::CutExecutor::run`] executes —
+//! and runs it as one batched, deduplicated backend submission. Under
+//! either preparation scheme the delivered histograms land in one
+//! [`FragmentData`].
 
 use crate::allocation::ShotSchedule;
-use crate::basis::{encode_meas, encode_prep};
-use crate::jobgraph::{Channel, GraphFailure, JobGraph};
+use crate::basis::BasisPlan;
+use crate::fragment::Fragments;
+use crate::jobgraph::{Channel, GraphFailure, GraphRun};
+use crate::pipeline::ReconstructionMethod;
+use crate::planner::gather_graph;
 use crate::retry::RetryPolicy;
-use crate::tomography::ExperimentPlan;
 use qcut_device::backend::Backend;
 use qcut_sim::counts::Counts;
 use std::collections::HashMap;
@@ -24,9 +29,12 @@ use std::time::Duration;
 /// nominal mean.
 #[derive(Debug, Clone)]
 pub struct FragmentData {
-    /// Upstream counts keyed by [`encode_meas`] of the setting.
+    /// Upstream counts keyed by [`crate::basis::encode_meas`] of the
+    /// setting.
     pub upstream: HashMap<u64, Counts>,
-    /// Downstream counts keyed by [`encode_prep`] of the preparation.
+    /// Downstream counts keyed by [`crate::basis::encode_prep`] of the
+    /// eigenstate preparation, or by [`crate::sic::encode_sic`] of the SIC
+    /// preparation in a [`ReconstructionMethod::Sic`] gather.
     pub downstream: HashMap<u64, Counts>,
     /// Realized shots per upstream setting (same keys as
     /// [`FragmentData::upstream`]). Matches the delivered histogram totals,
@@ -73,6 +81,17 @@ impl FragmentData {
         }
     }
 
+    /// Drains a gather graph's run into fragment data: the upstream
+    /// channel plus the downstream channel `method` reads.
+    pub(crate) fn from_run(run: &mut GraphRun, method: ReconstructionMethod) -> Self {
+        FragmentData::from_counts(
+            run.take_channel(Channel::UpstreamMeas),
+            run.take_channel(method.downstream_channel()),
+            run.stats.simulated_device_time,
+            run.stats.host_time,
+        )
+    }
+
     /// Counts for one upstream setting.
     pub fn upstream_counts(&self, setting_key: u64) -> Option<&Counts> {
         self.upstream.get(&setting_key)
@@ -94,12 +113,12 @@ impl FragmentData {
     }
 
     /// Merges shot data from a second gathering pass (same plan): counts
-    /// accumulate, per-setting budgets add up. The accumulation contract —
-    /// histograms merge, per-setting budgets and timings sum — is what a
-    /// multi-round gather (adaptive pilot → refine, online detection's
-    /// sequential batches) relies on; the engine-seeded refine round in
-    /// [`crate::pipeline::CutExecutor::run`] delivers exactly the merge of
-    /// both passes (pinned in `tests/integration_allocation.rs`).
+    /// accumulate, per-setting budgets and timings add up. The pipeline
+    /// does not call this — its adaptive refine round seeds the engine with
+    /// the pilot's delivered nodes instead — but the seeded round delivers
+    /// exactly this merge of both passes, and
+    /// `tests/integration_allocation.rs` keeps `merge` as the reference
+    /// that pins it.
     pub fn merge(&mut self, other: &FragmentData) {
         for (k, c) in &other.upstream {
             self.upstream
@@ -126,10 +145,10 @@ impl FragmentData {
     }
 }
 
-/// Executes every variant of `plan` under `schedule` (per-setting shot
-/// counts; [`ShotSchedule::uniform`] is the paper's protocol, see
-/// [`crate::allocation`] for the other budget policies) as one batched,
-/// deduplicated engine submission.
+/// Plans the gather of `plan` under `method` and `schedule` (per-setting
+/// shot counts aligned with [`ReconstructionMethod::schedule`];
+/// [`ShotSchedule::uniform`] is the paper's protocol) and executes it as
+/// one batched, deduplicated engine submission.
 ///
 /// Transient backend faults and deterministic per-job timeouts are retried
 /// inside the engine under `retry` (only failed nodes re-submitted), and
@@ -137,58 +156,28 @@ impl FragmentData {
 /// the salvaged surviving data.
 pub fn gather<B: Backend + ?Sized>(
     backend: &B,
-    plan: &ExperimentPlan,
+    fragments: &Fragments,
+    plan: &BasisPlan,
+    method: ReconstructionMethod,
     schedule: &ShotSchedule,
     retry: &RetryPolicy,
 ) -> Result<FragmentData, Box<GraphFailure>> {
-    assert_eq!(
-        schedule.upstream.len(),
-        plan.upstream.len(),
-        "schedule arity"
-    );
-    assert_eq!(
-        schedule.downstream.len(),
-        plan.downstream.len(),
-        "schedule arity"
-    );
-    let mut graph = JobGraph::new();
-    for (i, v) in plan.upstream.iter().enumerate() {
-        graph.add_job(
-            v.circuit.clone(),
-            (Channel::UpstreamMeas, encode_meas(&v.setting)),
-            schedule.upstream[i],
-        );
-    }
-    for (i, v) in plan.downstream.iter().enumerate() {
-        graph.add_job(
-            v.circuit.clone(),
-            (Channel::DownstreamPrep, encode_prep(&v.preparation)),
-            schedule.downstream[i],
-        );
-    }
-
+    let graph = gather_graph(fragments, plan, method, schedule);
     let mut run = graph.execute(backend, retry)?;
-    let upstream = run.take_channel(Channel::UpstreamMeas);
-    let downstream = run.take_channel(Channel::DownstreamPrep);
-    Ok(FragmentData::from_counts(
-        upstream,
-        downstream,
-        run.stats.simulated_device_time,
-        run.stats.host_time,
-    ))
+    Ok(FragmentData::from_run(&mut run, method))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basis::BasisPlan;
+    use crate::basis::{encode_meas, encode_prep};
     use crate::fragment::Fragmenter;
     use crate::sequential::Sequential;
     use qcut_circuit::ansatz::GoldenAnsatz;
     use qcut_device::ideal::IdealBackend;
     use qcut_math::Pauli;
 
-    fn plan_for(seed: u64, golden: bool) -> ExperimentPlan {
+    fn plan_for(seed: u64, golden: bool) -> (Fragments, BasisPlan) {
         let (c, spec) = GoldenAnsatz::new(5, seed).build();
         let frags = Fragmenter::fragment(&c, &spec).unwrap();
         let basis = if golden {
@@ -196,20 +185,37 @@ mod tests {
         } else {
             BasisPlan::standard(1)
         };
-        ExperimentPlan::build(&frags, &basis)
+        (frags, basis)
+    }
+
+    fn uniform(plan: &BasisPlan, shots: u64) -> ShotSchedule {
+        ShotSchedule::uniform(
+            plan.all_meas_settings().len(),
+            plan.all_prep_settings().len(),
+            shots,
+        )
+    }
+
+    fn eigen_gather<B: Backend + ?Sized>(
+        backend: &B,
+        (frags, plan): &(Fragments, BasisPlan),
+        schedule: &ShotSchedule,
+    ) -> Result<FragmentData, Box<GraphFailure>> {
+        gather(
+            backend,
+            frags,
+            plan,
+            ReconstructionMethod::Eigenstate,
+            schedule,
+            &RetryPolicy::default(),
+        )
     }
 
     #[test]
     fn gather_fills_every_setting() {
         let backend = IdealBackend::new(3);
-        let plan = plan_for(0, false);
-        let data = gather(
-            &backend,
-            &plan,
-            &plan.uniform_schedule(500),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let case = plan_for(0, false);
+        let data = eigen_gather(&backend, &case, &uniform(&case.1, 500)).unwrap();
         assert_eq!(data.upstream.len(), 3);
         assert_eq!(data.downstream.len(), 6);
         assert_eq!(data.subcircuits, 9);
@@ -222,14 +228,8 @@ mod tests {
     #[test]
     fn golden_gather_skips_y_settings() {
         let backend = IdealBackend::new(3);
-        let plan = plan_for(0, true);
-        let data = gather(
-            &backend,
-            &plan,
-            &plan.uniform_schedule(500),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let case = plan_for(0, true);
+        let data = eigen_gather(&backend, &case, &uniform(&case.1, 500)).unwrap();
         assert_eq!(data.subcircuits, 6);
         assert_eq!(data.total_shots, 3000);
     }
@@ -240,31 +240,30 @@ mod tests {
         // the actual counts, never the mean (the old `shots_per_setting`
         // field silently averaged).
         let backend = IdealBackend::new(5);
-        let plan = plan_for(2, false);
+        let case = plan_for(2, false);
         let schedule = ShotSchedule {
             upstream: vec![100, 200, 300],
             downstream: vec![50, 60, 70, 80, 90, 100],
         };
-        let data = gather(&backend, &plan, &schedule, &RetryPolicy::default()).unwrap();
+        let data = eigen_gather(&backend, &case, &schedule).unwrap();
         assert_eq!(data.total_shots, schedule.total());
-        for (i, v) in plan.upstream.iter().enumerate() {
-            let key = encode_meas(&v.setting);
+        for (i, setting) in case.1.all_meas_settings().iter().enumerate() {
+            let key = encode_meas(setting);
             assert_eq!(data.shots_for_meas(key), schedule.upstream[i]);
             assert_eq!(data.upstream[&key].total(), schedule.upstream[i]);
         }
-        for (i, v) in plan.downstream.iter().enumerate() {
-            let key = encode_prep(&v.preparation);
+        for (i, preparation) in case.1.all_prep_settings().iter().enumerate() {
+            let key = encode_prep(preparation);
             assert_eq!(data.shots_for_prep(key), schedule.downstream[i]);
         }
     }
 
     #[test]
     fn sequential_and_parallel_produce_same_shape() {
-        let plan = plan_for(1, false);
-        let schedule = plan.uniform_schedule(100);
-        let once = RetryPolicy::default();
-        let par = gather(&IdealBackend::new(9), &plan, &schedule, &once).unwrap();
-        let seq = gather(&Sequential(IdealBackend::new(9)), &plan, &schedule, &once).unwrap();
+        let case = plan_for(1, false);
+        let schedule = uniform(&case.1, 100);
+        let par = eigen_gather(&IdealBackend::new(9), &case, &schedule).unwrap();
+        let seq = eigen_gather(&Sequential(IdealBackend::new(9)), &case, &schedule).unwrap();
         assert_eq!(par.upstream, seq.upstream);
         assert_eq!(par.downstream, seq.downstream);
         assert_eq!(par.total_shots, seq.total_shots);
@@ -274,14 +273,8 @@ mod tests {
     fn capacity_error_propagates() {
         use qcut_device::backend::BackendError;
         let backend = IdealBackend::new(0).with_capacity(2);
-        let plan = plan_for(0, false); // 3-qubit fragments
-        let err = gather(
-            &backend,
-            &plan,
-            &plan.uniform_schedule(10),
-            &RetryPolicy::default(),
-        )
-        .unwrap_err();
+        let case = plan_for(0, false); // 3-qubit fragments
+        let err = eigen_gather(&backend, &case, &uniform(&case.1, 10)).unwrap_err();
         assert!(!err.failures.is_empty());
         assert!(matches!(
             err.first_error(),
@@ -294,21 +287,9 @@ mod tests {
     #[test]
     fn merge_accumulates_budgets() {
         let backend = IdealBackend::new(3);
-        let plan = plan_for(0, false);
-        let mut a = gather(
-            &backend,
-            &plan,
-            &plan.uniform_schedule(200),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        let b = gather(
-            &backend,
-            &plan,
-            &plan.uniform_schedule(300),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let case = plan_for(0, false);
+        let mut a = eigen_gather(&backend, &case, &uniform(&case.1, 200)).unwrap();
+        let b = eigen_gather(&backend, &case, &uniform(&case.1, 300)).unwrap();
         a.merge(&b);
         assert_eq!(a.total_shots, 4500);
         for c in a.upstream.values() {

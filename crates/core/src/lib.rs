@@ -107,7 +107,7 @@ pub mod cut {
 /// Common re-exports.
 pub mod prelude {
     pub use crate::allocation::{
-        schedule, schedule_for_plan, schedule_sic, usage_counts, AllocationError, ShotAllocation,
+        schedule_for_plan, schedule_sic, usage_counts, AllocationError, ShotAllocation,
         ShotSchedule,
     };
     pub use crate::analysis::{
@@ -140,8 +140,7 @@ pub mod prelude {
     };
     pub use crate::report::{FailureRecord, RunReport, UncutReport};
     pub use crate::retry::{Backoff, FailurePolicy, RetryPolicy};
-    pub use crate::sic::{gather_sic, sic_downstream_tensor, SicData, SicFrame};
-    pub use crate::tomography::ExperimentPlan;
+    pub use crate::sic::{sic_downstream_tensor, SicFrame};
     pub use crate::variance::{
         empirical_variance, reconstruction_variance, variance_from_schedule, variance_from_tensors,
         ReconstructionError,

@@ -29,25 +29,25 @@
 //! nodes: one merged histogram per unique circuit.
 
 use crate::allocation::{
-    pilot_schedule, pilot_total, refine_schedule, schedule_for_plan, schedule_sic, ShotAllocation,
-    ShotSchedule,
+    pilot_schedule, pilot_total, refine_schedule, schedule_for_plan, schedule_sic, AllocationError,
+    ShotAllocation, ShotSchedule,
 };
 use crate::analysis::{analyze_and_fragment, AnalysisConfig, Diagnostic, LintCode, Severity};
 use crate::basis::{decode_meas, decode_prep, encode_meas, encode_prep, BasisPlan};
 use crate::error::{ExecutionFailure, PipelineError};
 use crate::execution::FragmentData;
-use crate::fragment::{Fragmenter, Fragments};
+use crate::fragment::{Fragment, Fragmenter, Fragments};
 use crate::golden::{
     resolve_static_policy, GoldenPolicy, GoldenVerdict, OnlineConfig, OnlineDetector,
 };
 use crate::jobgraph::{
     Channel, ConsumerKey, GraphFailure, GraphRun, GraphStats, JobGraph, NodeFailure,
 };
-use crate::planner::{gather_graph, uncut_graph};
-use crate::reconstruction::{contract, downstream_tensor, upstream_tensor};
+use crate::planner::{add_downstream_jobs, add_sic_jobs, gather_graph, uncut_graph};
+use crate::reconstruction::{contract, downstream_tensor, upstream_tensor, CoefficientTensor};
 use crate::report::{FailureRecord, RunReport, UncutReport};
 use crate::retry::{FailurePolicy, RetryPolicy};
-use crate::sic::{all_sic_settings, encode_sic, sic_downstream_tensor, SicData};
+use crate::sic::{all_sic_settings, encode_sic, sic_downstream_tensor};
 use crate::tomography::build_upstream_circuit;
 use crate::variance::neyman_scores;
 use qcut_cache::{CacheKey, ShotDiscipline, WarmCache};
@@ -59,7 +59,7 @@ use qcut_stats::distribution::Distribution;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Downstream preparation scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,6 +71,105 @@ pub enum ReconstructionMethod {
     /// SIC preparations: always `4^K` subcircuits, linear solve during
     /// assembly (paper §II-B's alternative).
     Sic,
+}
+
+/// Everything that depends on the preparation scheme; the rest of a gather
+/// (upstream jobs, engine, accounting) is shared.
+impl ReconstructionMethod {
+    /// The gather schedule of `plan` under `allocation`:
+    /// [`schedule_for_plan`] for eigenstate preparations, [`schedule_sic`]
+    /// for SIC ones.
+    pub fn schedule(
+        self,
+        plan: &BasisPlan,
+        allocation: ShotAllocation,
+    ) -> Result<ShotSchedule, AllocationError> {
+        match self {
+            ReconstructionMethod::Eigenstate => schedule_for_plan(plan, allocation),
+            ReconstructionMethod::Sic => schedule_sic(plan, allocation),
+        }
+    }
+
+    /// The engine channel the downstream half is delivered on.
+    pub(crate) fn downstream_channel(self) -> Channel {
+        match self {
+            ReconstructionMethod::Eigenstate => Channel::DownstreamPrep,
+            ReconstructionMethod::Sic => Channel::SicPrep,
+        }
+    }
+
+    /// The keys of the downstream preparations a gather of `plan` runs,
+    /// in schedule order: [`encode_prep`] of every surviving eigenstate
+    /// preparation, or [`encode_sic`] of all `4^K` SIC combinations (the
+    /// SIC frame needs every one, whatever the plan neglects).
+    pub(crate) fn prep_keys(self, plan: &BasisPlan) -> Vec<u64> {
+        match self {
+            ReconstructionMethod::Eigenstate => plan
+                .all_prep_settings()
+                .iter()
+                .map(|p| encode_prep(p))
+                .collect(),
+            ReconstructionMethod::Sic => all_sic_settings(plan.num_cuts())
+                .iter()
+                .map(|s| encode_sic(s))
+                .collect(),
+        }
+    }
+
+    /// The downstream preparation count of `plan` without enumerating the
+    /// cartesian product (exponential work for large `K`).
+    pub(crate) fn estimated_preps(self, plan: &BasisPlan) -> f64 {
+        let num_cuts = plan.num_cuts();
+        match self {
+            ReconstructionMethod::Eigenstate => (0..num_cuts)
+                .map(|k| plan.prep_states(k).len() as f64)
+                .product(),
+            ReconstructionMethod::Sic => 4f64.powi(num_cuts as i32),
+        }
+    }
+
+    /// Registers the downstream jobs of a gather, `shots` aligned with
+    /// [`ReconstructionMethod::prep_keys`].
+    pub(crate) fn add_downstream_jobs(
+        self,
+        graph: &mut JobGraph,
+        fragments: &Fragments,
+        plan: &BasisPlan,
+        shots: &[u64],
+    ) {
+        match self {
+            ReconstructionMethod::Eigenstate => {
+                add_downstream_jobs(graph, fragments, plan, shots);
+            }
+            ReconstructionMethod::Sic => {
+                add_sic_jobs(graph, &fragments.downstream, plan.num_cuts(), shots);
+            }
+        }
+    }
+
+    /// The downstream coefficient tensor from gathered data.
+    pub fn downstream_tensor(
+        self,
+        fragment: &Fragment,
+        plan: &BasisPlan,
+        data: &FragmentData,
+    ) -> CoefficientTensor {
+        match self {
+            ReconstructionMethod::Eigenstate => downstream_tensor(fragment, plan, data),
+            ReconstructionMethod::Sic => sic_downstream_tensor(fragment, plan, data),
+        }
+    }
+
+    /// The weights of an adaptive refine round's `n_down` downstream
+    /// preparations: the pilot's Neyman scores for eigenstate ones; uniform
+    /// for SIC ones, which are informationally complete and read uniformly
+    /// through the frame solve (the same rule as [`schedule_sic`]).
+    fn refine_weights(self, scores: Vec<f64>, n_down: usize) -> Vec<f64> {
+        match self {
+            ReconstructionMethod::Eigenstate => scores,
+            ReconstructionMethod::Sic => vec![1.0; n_down],
+        }
+    }
 }
 
 /// Post-processing applied to the reconstructed quasi-distribution.
@@ -192,12 +291,10 @@ pub struct CutExecutor<'b, B: Backend + ?Sized> {
     backend: &'b B,
 }
 
-/// Delivered channels of one gather round, plus the executed graph and
-/// its run (channels drained, accounting and per-node histograms kept).
+/// Delivered data of one gather round, plus the executed graph and its
+/// run (channels drained, accounting and per-node histograms kept).
 struct GatherRound {
-    upstream: HashMap<u64, Counts>,
-    downstream: HashMap<u64, Counts>,
-    sic_counts: HashMap<u64, Counts>,
+    data: FragmentData,
     graph: JobGraph,
     run: GraphRun,
     /// Each node's cache fingerprint, in node order; computed once per
@@ -311,15 +408,15 @@ fn degrade_plan(plan: &BasisPlan, failures: &[NodeFailure]) -> Option<BasisPlan>
 /// keys whose data *was* delivered.
 fn execution_failure(
     failures: &[NodeFailure],
-    upstream: &HashMap<u64, Counts>,
-    downstream: &HashMap<u64, Counts>,
-    sic_counts: &HashMap<u64, Counts>,
+    data: &FragmentData,
+    method: ReconstructionMethod,
 ) -> PipelineError {
-    let mut succeeded: Vec<ConsumerKey> = upstream
+    let downstream = method.downstream_channel();
+    let mut succeeded: Vec<ConsumerKey> = data
+        .upstream
         .keys()
         .map(|&k| (Channel::UpstreamMeas, k))
-        .chain(downstream.keys().map(|&k| (Channel::DownstreamPrep, k)))
-        .chain(sic_counts.keys().map(|&k| (Channel::SicPrep, k)))
+        .chain(data.downstream.keys().map(|&k| (downstream, k)))
         .collect();
     succeeded.sort_unstable();
     let cause = failures
@@ -423,10 +520,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
                 &mut failures,
             )?
         } else {
-            let sched = match options.method {
-                ReconstructionMethod::Eigenstate => schedule_for_plan(&plan, effective)?,
-                ReconstructionMethod::Sic => schedule_sic(&plan, effective)?,
-            };
+            let sched = options.method.schedule(&plan, effective)?;
             let round = self.gather_round(
                 &fragments,
                 &plan,
@@ -464,9 +558,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             }
         }
         let GatherRound {
-            upstream,
-            downstream,
-            sic_counts,
+            data,
             run: GraphRun {
                 stats: gather_stats,
                 ..
@@ -487,27 +579,18 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             plan
         } else {
             let salvaged = degrade_plan(&plan, &failures)
-                .ok_or_else(|| execution_failure(&failures, &upstream, &downstream, &sic_counts))?;
+                .ok_or_else(|| execution_failure(&failures, &data, options.method))?;
             let covered = salvaged
                 .all_meas_settings()
                 .iter()
-                .all(|s| upstream.contains_key(&encode_meas(s)))
-                && match options.method {
-                    ReconstructionMethod::Eigenstate => salvaged
-                        .all_prep_settings()
-                        .iter()
-                        .all(|p| downstream.contains_key(&encode_prep(p))),
-                    ReconstructionMethod::Sic => all_sic_settings(fragments.num_cuts)
-                        .iter()
-                        .all(|s| sic_counts.contains_key(&encode_sic(s))),
-                };
+                .all(|s| data.upstream.contains_key(&encode_meas(s)))
+                && options
+                    .method
+                    .prep_keys(&salvaged)
+                    .iter()
+                    .all(|k| data.downstream.contains_key(k));
             if !covered {
-                return Err(execution_failure(
-                    &failures,
-                    &upstream,
-                    &downstream,
-                    &sic_counts,
-                ));
+                return Err(execution_failure(&failures, &data, options.method));
             }
             degraded = true;
             salvaged
@@ -521,42 +604,17 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let failure_records: Vec<FailureRecord> =
             failures.iter().map(FailureRecord::from).collect();
 
-        let upstream_settings = upstream.len();
-        let downstream_settings = downstream.len() + sic_counts.len();
-        let sic_shots: u64 = sic_counts.values().map(|c| c.total()).sum();
-        // The realized per-setting schedule rides in the fragment data
-        // (delivered histogram totals — ≥ the requested schedule when
-        // detection data was reused or duplicates merged), so downstream
-        // variance/CI math sees actual shots per setting, never a nominal
-        // mean.
-        let data = FragmentData::from_counts(
-            upstream,
-            downstream,
-            gather_stats.simulated_device_time,
-            gather_stats.host_time,
-        );
-        let sic_data = match options.method {
-            ReconstructionMethod::Eigenstate => None,
-            ReconstructionMethod::Sic => Some(SicData {
-                subcircuits: sic_counts.len(),
-                // SIC schedules stay per-prep uniform under every policy
-                // (the frame solve reads all preps equally), so the mean
-                // is the realized budget up to the ±1 apportion remainder.
-                shots_per_setting: sic_shots / (sic_counts.len().max(1) as u64),
-                counts: sic_counts,
-                // Device time is accounted once, on the unified gather
-                // stats; the combined graph does not split it per channel.
-                simulated_device_time: Duration::ZERO,
-            }),
-        };
+        let upstream_settings = data.upstream.len();
+        let downstream_settings = data.downstream.len();
 
-        // Reconstruct.
+        // Reconstruct. The realized per-setting schedule rides in the
+        // fragment data (delivered histogram totals — ≥ the requested
+        // schedule when detection data was reused or duplicates merged).
         let recon_started = Instant::now();
         let up = upstream_tensor(&fragments.upstream, &plan, &data);
-        let down = match &sic_data {
-            None => downstream_tensor(&fragments.downstream, &plan, &data),
-            Some(sic) => sic_downstream_tensor(&fragments.downstream, &plan, sic),
-        };
+        let down = options
+            .method
+            .downstream_tensor(&fragments.downstream, &plan, &data);
         let raw = contract(&fragments, &plan, &up, &down);
         let distribution = match options.postprocess {
             PostProcess::Raw => raw,
@@ -627,7 +685,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
     /// seeds it with prior measurements (online-detection batches for a
     /// first round, the pilot's delivered nodes for an adaptive refine
     /// round), then with any matching `warm` cross-run cache entries, and
-    /// returns the delivered channels plus the executed graph and run.
+    /// returns the delivered fragment data plus the executed graph and run.
     /// The engine executes only each node's missing shots, so same-run
     /// seeds count toward the round's budget as `shots_saved` and
     /// warm-cache seeds as `cache_shots_reused`.
@@ -693,9 +751,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
             },
         };
         Ok(GatherRound {
-            upstream: grun.take_channel(Channel::UpstreamMeas),
-            downstream: grun.take_channel(Channel::DownstreamPrep),
-            sic_counts: grun.take_channel(Channel::SicPrep),
+            data: FragmentData::from_run(&mut grun, options.method),
             graph,
             run: grun,
             fingerprints,
@@ -751,12 +807,9 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         detection_cache: &HashMap<u64, (Circuit, Counts)>,
         failures: &mut Vec<NodeFailure>,
     ) -> Result<(GatherRound, u64, usize), PipelineError> {
-        let num_cuts = fragments.num_cuts;
+        let method = options.method;
         let n_up = plan.all_meas_settings().len();
-        let n_down = match options.method {
-            ReconstructionMethod::Eigenstate => plan.all_prep_settings().len(),
-            ReconstructionMethod::Sic => all_sic_settings(num_cuts).len(),
-        };
+        let n_down = method.prep_keys(plan).len();
 
         // Round 1: the uniform pilot.
         // The warm cache seeds the pilot only: its histograms become part
@@ -767,7 +820,7 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         let pilot = pilot_total(pilot_fraction, total);
         let pilot_sched = pilot_schedule(n_up, n_down, pilot)?;
         let failures_before_pilot = failures.len();
-        let mut pilot_run = self.gather_round(
+        let pilot_run = self.gather_round(
             fragments,
             plan,
             options,
@@ -784,38 +837,16 @@ impl<'b, B: Backend + ?Sized> CutExecutor<'b, B> {
         // read absent histograms — so the refine round falls back to the
         // uniform split; the final replan after the gather decides what
         // the reconstruction can still salvage.
-        let pilot_data = FragmentData::from_counts(
-            std::mem::take(&mut pilot_run.upstream),
-            std::mem::take(&mut pilot_run.downstream),
-            pilot_run.run.stats.simulated_device_time,
-            pilot_run.run.stats.host_time,
-        );
         let (up_scores, down_scores) = if pilot_degraded {
             (vec![1.0; n_up], vec![1.0; n_down])
         } else {
-            let up = upstream_tensor(&fragments.upstream, plan, &pilot_data);
-            match options.method {
-                ReconstructionMethod::Eigenstate => {
-                    let down = downstream_tensor(&fragments.downstream, plan, &pilot_data);
-                    let scores = neyman_scores(fragments, plan, &up, &down);
-                    (scores.upstream, scores.downstream)
-                }
-                ReconstructionMethod::Sic => {
-                    let sic_shots: u64 = pilot_run.sic_counts.values().map(|c| c.total()).sum();
-                    let sic = SicData {
-                        subcircuits: pilot_run.sic_counts.len(),
-                        shots_per_setting: sic_shots / (pilot_run.sic_counts.len().max(1) as u64),
-                        counts: std::mem::take(&mut pilot_run.sic_counts),
-                        simulated_device_time: Duration::ZERO,
-                    };
-                    let down = sic_downstream_tensor(&fragments.downstream, plan, &sic);
-                    let scores = neyman_scores(fragments, plan, &up, &down);
-                    // SIC preparations are informationally complete and read
-                    // uniformly through the frame solve, so only the upstream
-                    // half is adaptively skewed (same rule as WeightedByUsage).
-                    (scores.upstream, vec![1.0; n_down])
-                }
-            }
+            let up = upstream_tensor(&fragments.upstream, plan, &pilot_run.data);
+            let down = method.downstream_tensor(&fragments.downstream, plan, &pilot_run.data);
+            let scores = neyman_scores(fragments, plan, &up, &down);
+            (
+                scores.upstream,
+                method.refine_weights(scores.downstream, n_down),
+            )
         };
 
         // Round 2: the refine round requests the *cumulative* Neyman
@@ -967,6 +998,7 @@ mod tests {
     use qcut_math::Pauli;
     use qcut_sim::statevector::StateVector;
     use qcut_stats::distance::total_variation_distance;
+    use std::time::Duration;
 
     fn truth(circuit: &Circuit) -> Distribution {
         let sv = StateVector::from_circuit(circuit);

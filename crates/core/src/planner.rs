@@ -1,17 +1,16 @@
 //! Graph builders: translating a [`BasisPlan`] (plus fragments and shot
 //! schedule) into [`JobGraph`] jobs.
 //!
-//! The eigenstate, SIC, and online-detection execution paths used to build
-//! their job lists independently (and the SIC path built a full
-//! [`crate::tomography::ExperimentPlan`] only to discard its downstream
-//! half). Here they are just different combinations of graph builders over
+//! Every gather is planned here, as a combination of graph builders over
 //! the same engine:
 //!
 //! * eigenstate gather = upstream jobs + downstream jobs;
 //! * SIC gather = upstream jobs + SIC jobs (no downstream eigenstate job is
 //!   ever constructed);
-//! * `gather_graph` builds either gather for the pipeline and for static
-//!   analysis, so both plan the same graph;
+//! * `gather_graph` builds either gather — the method picks the downstream
+//!   builder — for the pipeline's rounds, for a plain
+//!   [`crate::execution::gather`], and for static analysis, so all three
+//!   plan the same graph in the same job order;
 //! * online detection registers its per-round jobs inline in
 //!   [`crate::pipeline`], merges each batch's delivered nodes into its
 //!   reuse map, and seeds them into the gather graph;
@@ -185,29 +184,22 @@ pub fn add_sic_jobs(graph: &mut JobGraph, downstream: &Fragment, num_cuts: usize
 /// The graph of one gather round for `sched`: upstream measurement jobs
 /// plus the downstream half `method` reads (eigenstate or SIC
 /// preparations — the SIC path never builds an eigenstate downstream
-/// job). The pipeline executes this graph; static analysis only inspects
-/// it.
+/// job). The pipeline and [`crate::execution::gather`] execute this
+/// graph; static analysis only inspects it.
 pub(crate) fn gather_graph(
     fragments: &Fragments,
     plan: &BasisPlan,
     method: ReconstructionMethod,
     sched: &ShotSchedule,
 ) -> JobGraph {
+    assert_eq!(
+        plan.num_cuts(),
+        fragments.num_cuts,
+        "basis plan cut count does not match fragments"
+    );
     let mut graph = JobGraph::new();
     add_upstream_jobs(&mut graph, fragments, plan, &sched.upstream);
-    match method {
-        ReconstructionMethod::Eigenstate => {
-            add_downstream_jobs(&mut graph, fragments, plan, &sched.downstream);
-        }
-        ReconstructionMethod::Sic => {
-            add_sic_jobs(
-                &mut graph,
-                &fragments.downstream,
-                fragments.num_cuts,
-                &sched.downstream,
-            );
-        }
-    }
+    method.add_downstream_jobs(&mut graph, fragments, plan, &sched.downstream);
     graph
 }
 
@@ -383,7 +375,7 @@ mod tests {
 
     #[test]
     fn gather_graphs_key_every_consumer_to_one_node_with_demand() {
-        use crate::allocation::{schedule_for_plan, schedule_sic, ShotAllocation};
+        use crate::allocation::ShotAllocation;
         use crate::analysis::minimal_golden_plan;
         use qcut_circuit::ansatz::MultiCutAnsatz;
         use std::collections::HashSet;
@@ -403,11 +395,7 @@ mod tests {
                         },
                         ShotAllocation::WeightedByUsage { total: 20_000 },
                     ] {
-                        let sched = match method {
-                            ReconstructionMethod::Eigenstate => schedule_for_plan(plan, allocation),
-                            ReconstructionMethod::Sic => schedule_sic(plan, allocation),
-                        }
-                        .unwrap();
+                        let sched = method.schedule(plan, allocation).unwrap();
                         let g = gather_graph(&frags, plan, method, &sched);
                         let case =
                             format!("K={k} {method:?} {:?} {allocation:?}", plan.neglected());

@@ -67,8 +67,19 @@ impl CoefficientTensor {
     }
 }
 
-/// Joint outcome table of one upstream setting: `(b1, r_bits) → probability`.
-type Joint = HashMap<(u64, u64), f64>;
+/// Joint outcome table of one upstream setting: `(b1, r_bits, probability)`
+/// sorted by `(b1, r_bits)`, so [`assemble_upstream`] sums each `b1`'s
+/// terms in a fixed order: with `K ≥ 2` a `b1` collects up to `2^K` signed
+/// terms, and a hash map's per-instance iteration order would change the
+/// last bits of the sum from run to run.
+type Joint = Vec<(u64, u64, f64)>;
+
+/// Sorts `(b1, r_bits) → probability` entries into a [`Joint`].
+fn sorted_joint(entries: impl IntoIterator<Item = ((u64, u64), f64)>) -> Joint {
+    let mut joint: Joint = entries.into_iter().map(|((b1, r), p)| (b1, r, p)).collect();
+    joint.sort_unstable_by_key(|&(b1, r, _)| (b1, r));
+    joint
+}
 
 /// Builds the upstream tensor from measured counts.
 pub fn upstream_tensor(
@@ -87,11 +98,12 @@ pub fn upstream_tensor(
                 .get(&key)
                 .unwrap_or_else(|| panic!("missing upstream counts for setting {setting:?}"));
             let total = counts.total().max(1) as f64;
-            let joint: Joint = counts
-                .split(&fragment.output_locals, &fragment.cut_ports)
-                .into_iter()
-                .map(|(k, n)| (k, n as f64 / total))
-                .collect();
+            let joint = sorted_joint(
+                counts
+                    .split(&fragment.output_locals, &fragment.cut_ports)
+                    .into_iter()
+                    .map(|(k, n)| (k, n as f64 / total)),
+            );
             (key, joint)
         })
         .collect();
@@ -107,7 +119,7 @@ pub fn exact_upstream_tensor(fragment: &Fragment, plan: &BasisPlan) -> Coefficie
         .map(|setting| {
             let circuit = build_upstream_circuit(fragment, setting);
             let probs = StateVector::from_circuit(&circuit).probabilities();
-            let mut joint = Joint::new();
+            let mut joint = HashMap::new();
             for (idx, &p) in probs.iter().enumerate() {
                 if p <= 0.0 {
                     continue;
@@ -116,7 +128,7 @@ pub fn exact_upstream_tensor(fragment: &Fragment, plan: &BasisPlan) -> Coefficie
                 let r = extract_bits(idx as u64, &fragment.cut_ports);
                 *joint.entry((b1, r)).or_insert(0.0) += p;
             }
-            (encode_meas(setting), joint)
+            (encode_meas(setting), sorted_joint(joint))
         })
         .collect();
     assemble_upstream(fragment, plan, &joints)
@@ -134,7 +146,7 @@ fn assemble_upstream(
         let setting = plan.setting_for(&m);
         let joint = &joints[&encode_meas(&setting)];
         let mut vec = vec![0.0f64; dim];
-        for (&(b1, rbits), &p) in joint {
+        for &(b1, rbits, p) in joint {
             let mut sign = 1.0;
             for (k, &pauli) in m.iter().enumerate() {
                 if pauli != Pauli::I && (rbits >> k) & 1 == 1 {
@@ -474,20 +486,29 @@ mod tests {
 
     #[test]
     fn empirical_reconstruction_converges_to_truth() {
+        use crate::allocation::{schedule_for_plan, ShotAllocation};
         use crate::execution::gather;
+        use crate::pipeline::ReconstructionMethod;
         use crate::retry::RetryPolicy;
-        use crate::tomography::ExperimentPlan;
         use qcut_device::ideal::IdealBackend;
 
         let (circuit, spec) = GoldenAnsatz::new(5, 8).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
-        let experiment = ExperimentPlan::build(&frags, &plan);
+        let schedule = schedule_for_plan(
+            &plan,
+            ShotAllocation::Uniform {
+                shots_per_setting: 40_000,
+            },
+        )
+        .unwrap();
         let backend = IdealBackend::new(42);
         let data = gather(
             &backend,
-            &experiment,
-            &experiment.uniform_schedule(40_000),
+            &frags,
+            &plan,
+            ReconstructionMethod::Eigenstate,
+            &schedule,
             &RetryPolicy::default(),
         )
         .unwrap();

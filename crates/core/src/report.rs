@@ -8,8 +8,9 @@ use serde::{Deserialize, Serialize};
 
 /// One permanently failed engine node, as reported to callers: which
 /// consumers (channel + setting key) lost their data, what the final
-/// error was, and what it cost. Serializable so degraded runs can be
-/// archived and audited like any other report.
+/// error was, and what it cost. It derives the workspace's `serde`
+/// markers like every report type, but the vendored `serde` is a
+/// marker-only stub: nothing serializes a record yet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailureRecord {
     /// The consumers this node was serving — i.e. which basis settings

@@ -11,20 +11,22 @@
 //! in the `4^K` tetrahedral SIC states, and each reconstruction Pauli `M`
 //! is expanded over SIC projectors by solving the 4×4 frame system
 //! `Σ_j α_j^{(P)} |ψ_j><ψ_j| = P` once per Pauli.
+//!
+//! A SIC gather is planned and executed like an eigenstate one
+//! ([`crate::execution::gather`] or the pipeline with
+//! [`crate::pipeline::ReconstructionMethod::Sic`]): the planner registers
+//! upstream jobs plus [`crate::planner::add_sic_jobs`], and the SIC
+//! histograms arrive in [`FragmentData::downstream`].
 
 use crate::basis::{encode_paulis, BasisPlan};
+use crate::execution::FragmentData;
 use crate::fragment::{Fragment, FragmentRole, Fragments};
-use crate::jobgraph::{Channel, GraphFailure, JobGraph};
 use crate::reconstruction::{contract, extract_bits, CoefficientTensor};
-use crate::retry::RetryPolicy;
 use qcut_circuit::circuit::Circuit;
-use qcut_device::backend::Backend;
 use qcut_math::{solve_real, Pauli, SicState};
 use qcut_sim::basis_change::sic_prep_circuit;
-use qcut_sim::counts::Counts;
 use qcut_sim::statevector::StateVector;
 use std::collections::HashMap;
-use std::time::Duration;
 
 /// The expansion coefficients `α_j` with `P = Σ_j α_j |ψ_j><ψ_j|` for each
 /// Pauli `P` over the four SIC states.
@@ -81,20 +83,6 @@ impl Default for SicFrame {
     }
 }
 
-/// Downstream data gathered under SIC preparations: one histogram per
-/// `SicState^K` combination.
-#[derive(Debug, Clone)]
-pub struct SicData {
-    /// Keyed by base-4 encoding of the SIC combination.
-    pub counts: HashMap<u64, Counts>,
-    /// Shots per preparation.
-    pub shots_per_setting: u64,
-    /// Number of downstream subcircuits executed (`4^K`).
-    pub subcircuits: usize,
-    /// Simulated device time spent.
-    pub simulated_device_time: Duration,
-}
-
 /// Base-4 encoding of a SIC combination.
 pub fn encode_sic(states: &[SicState]) -> u64 {
     let mut key = 0u64;
@@ -139,41 +127,21 @@ pub fn build_sic_circuit(fragment: &Fragment, states: &[SicState]) -> Circuit {
     c
 }
 
-/// Runs all `4^K` SIC preparations of the downstream fragment as one
-/// batched, deduplicated engine submission under `retry`.
+/// Downstream coefficient tensor from a SIC gather, whose
+/// [`FragmentData::downstream`] holds one histogram per SIC combination
+/// keyed by [`encode_sic`]: for each reconstruction string `M`,
+/// `D[M][b2] = Σ_t (Π_k α^{M_k}_{t_k}) P(b2 | prep t)`.
 ///
-/// SIC preparations are informationally complete, not overcomplete: a
-/// permanently failed preparation makes the 4×4 frame system singular, so
-/// there is no degraded salvage for SIC data — callers must either retry
-/// until delivery or fail the run.
-pub fn gather_sic<B: Backend + ?Sized>(
-    backend: &B,
-    fragment: &Fragment,
-    num_cuts: usize,
-    shots_per_setting: u64,
-    retry: &RetryPolicy,
-) -> Result<SicData, Box<GraphFailure>> {
-    let mut graph = JobGraph::new();
-    crate::planner::add_sic_jobs(&mut graph, fragment, num_cuts, &[shots_per_setting]);
-    let mut run = graph.execute(backend, retry)?;
-    let counts = run.take_channel(Channel::SicPrep);
-    Ok(SicData {
-        subcircuits: counts.len(),
-        counts,
-        shots_per_setting,
-        simulated_device_time: run.stats.simulated_device_time,
-    })
-}
-
-/// Downstream coefficient tensor from SIC data: for each reconstruction
-/// string `M`, `D[M][b2] = Σ_t (Π_k α^{M_k}_{t_k}) P(b2 | prep t)`.
+/// SIC preparations are informationally complete, not overcomplete: every
+/// one of the `4^K` histograms is read, so there is no degraded salvage
+/// for a lost SIC preparation.
 pub fn sic_downstream_tensor(
     fragment: &Fragment,
     plan: &BasisPlan,
-    data: &SicData,
+    data: &FragmentData,
 ) -> CoefficientTensor {
     let dists: HashMap<u64, Vec<f64>> = data
-        .counts
+        .downstream
         .iter()
         .map(|(&key, counts)| {
             let d = counts.marginal(&fragment.output_locals).to_distribution();
@@ -336,20 +304,34 @@ mod tests {
 
     #[test]
     fn empirical_sic_reconstruction_converges() {
+        use crate::allocation::ShotAllocation;
+        use crate::execution::gather;
+        use crate::pipeline::ReconstructionMethod;
+        use crate::retry::RetryPolicy;
         use qcut_device::ideal::IdealBackend;
         let (circuit, spec) = GoldenAnsatz::new(5, 7).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
         let backend = IdealBackend::new(11);
-        let data = gather_sic(
+        let method = ReconstructionMethod::Sic;
+        let schedule = method
+            .schedule(
+                &plan,
+                ShotAllocation::Uniform {
+                    shots_per_setting: 60_000,
+                },
+            )
+            .unwrap();
+        let data = gather(
             &backend,
-            &frags.downstream,
-            1,
-            60_000,
+            &frags,
+            &plan,
+            method,
+            &schedule,
             &RetryPolicy::default(),
         )
         .unwrap();
-        assert_eq!(data.subcircuits, 4);
+        assert_eq!(data.downstream.len(), 4);
         let up = crate::reconstruction::exact_upstream_tensor(&frags.upstream, &plan);
         let down = sic_downstream_tensor(&frags.downstream, &plan, &data);
         let recon = contract(&frags, &plan, &up, &down);

@@ -1,5 +1,5 @@
-//! Tomography experiment planning: the concrete subcircuit variants that
-//! realise a [`BasisPlan`] on a pair of fragments.
+//! Tomography subcircuit builders: the concrete subcircuit variants that
+//! realise a [`crate::basis::BasisPlan`] on a pair of fragments.
 //!
 //! * Upstream variant for setting `(b_1 … b_K)`: the fragment circuit with
 //!   a basis rotation appended on each cut port, measured entirely in Z.
@@ -7,93 +7,15 @@
 //!   each cut port prepended to the fragment circuit.
 //!
 //! The number of variants is the paper's headline cost:
-//! `3^{K_r} 2^{K_g} + 6^{K_r} 4^{K_g}` (9 vs 6 for a single cut).
+//! `3^{K_r} 2^{K_g} + 6^{K_r} 4^{K_g}` (9 vs 6 for a single cut). The
+//! planner ([`crate::planner`]) builds one variant per setting of the plan
+//! and registers it on the gather's [`crate::jobgraph::JobGraph`].
 
-use crate::allocation::ShotSchedule;
-use crate::basis::{BasisPlan, MeasBasis};
-use crate::fragment::{Fragment, FragmentRole, Fragments};
+use crate::basis::MeasBasis;
+use crate::fragment::{Fragment, FragmentRole};
 use qcut_circuit::circuit::Circuit;
 use qcut_math::PrepState;
 use qcut_sim::basis_change::{append_basis_rotation, prep_circuit};
-
-/// One upstream subcircuit variant.
-#[derive(Debug, Clone)]
-pub struct UpstreamVariant {
-    /// The measurement setting per cut.
-    pub setting: Vec<MeasBasis>,
-    /// The executable circuit (rotations appended).
-    pub circuit: Circuit,
-}
-
-/// One downstream subcircuit variant.
-#[derive(Debug, Clone)]
-pub struct DownstreamVariant {
-    /// The preparation per cut.
-    pub preparation: Vec<PrepState>,
-    /// The executable circuit (preps prepended).
-    pub circuit: Circuit,
-}
-
-/// The full experiment plan for one cut circuit.
-#[derive(Debug, Clone)]
-pub struct ExperimentPlan {
-    /// Upstream variants, one per measurement setting.
-    pub upstream: Vec<UpstreamVariant>,
-    /// Downstream variants, one per preparation combination.
-    pub downstream: Vec<DownstreamVariant>,
-}
-
-impl ExperimentPlan {
-    /// Builds all subcircuit variants for `fragments` under `plan`.
-    pub fn build(fragments: &Fragments, plan: &BasisPlan) -> Self {
-        assert_eq!(
-            plan.num_cuts(),
-            fragments.num_cuts,
-            "basis plan cut count does not match fragments"
-        );
-        let upstream = plan
-            .all_meas_settings()
-            .into_iter()
-            .map(|setting| UpstreamVariant {
-                circuit: build_upstream_circuit(&fragments.upstream, &setting),
-                setting,
-            })
-            .collect();
-        let downstream = plan
-            .all_prep_settings()
-            .into_iter()
-            .map(|preparation| DownstreamVariant {
-                circuit: build_downstream_circuit(&fragments.downstream, &preparation),
-                preparation,
-            })
-            .collect();
-        ExperimentPlan {
-            upstream,
-            downstream,
-        }
-    }
-
-    /// Total number of subcircuits (the quantity the golden method
-    /// reduces by 33 % for one cut).
-    pub fn num_subcircuits(&self) -> usize {
-        self.upstream.len() + self.downstream.len()
-    }
-
-    /// Total shots for a per-setting budget.
-    pub fn total_shots(&self, shots_per_setting: u64) -> u64 {
-        self.num_subcircuits() as u64 * shots_per_setting
-    }
-
-    /// The paper's uniform protocol over this plan's variants:
-    /// `shots_per_setting` for every setting.
-    pub fn uniform_schedule(&self, shots_per_setting: u64) -> ShotSchedule {
-        ShotSchedule::uniform(
-            self.upstream.len(),
-            self.downstream.len(),
-            shots_per_setting,
-        )
-    }
-}
 
 /// The upstream fragment with basis rotations appended on its cut ports.
 pub fn build_upstream_circuit(fragment: &Fragment, setting: &[MeasBasis]) -> Circuit {
@@ -131,7 +53,11 @@ pub fn build_downstream_circuit(fragment: &Fragment, preparation: &[PrepState]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::Fragmenter;
+    use crate::allocation::ShotSchedule;
+    use crate::basis::BasisPlan;
+    use crate::fragment::{Fragmenter, Fragments};
+    use crate::pipeline::ReconstructionMethod;
+    use crate::planner::gather_graph;
     use qcut_circuit::ansatz::{GoldenAnsatz, MultiCutAnsatz};
     use qcut_math::Pauli;
     use qcut_sim::statevector::StateVector;
@@ -141,57 +67,81 @@ mod tests {
         Fragmenter::fragment(&c, &spec).unwrap()
     }
 
+    /// The uniform schedule over every setting of an eigenstate gather.
+    fn uniform(plan: &BasisPlan, shots: u64) -> ShotSchedule {
+        ShotSchedule::uniform(
+            plan.all_meas_settings().len(),
+            plan.all_prep_settings().len(),
+            shots,
+        )
+    }
+
     #[test]
     fn standard_plan_has_nine_subcircuits() {
         let frags = fragments_for(5, 0);
-        let plan = ExperimentPlan::build(&frags, &BasisPlan::standard(1));
-        assert_eq!(plan.upstream.len(), 3);
-        assert_eq!(plan.downstream.len(), 6);
-        assert_eq!(plan.num_subcircuits(), 9);
-        assert_eq!(plan.total_shots(1000), 9000);
+        let plan = BasisPlan::standard(1);
+        assert_eq!(plan.all_meas_settings().len(), 3);
+        assert_eq!(plan.all_prep_settings().len(), 6);
+        let sched = uniform(&plan, 1000);
+        let graph = gather_graph(&frags, &plan, ReconstructionMethod::Eigenstate, &sched);
+        assert_eq!(graph.jobs_planned(), 9);
+        assert_eq!(graph.num_nodes(), 9);
+        assert_eq!(sched.total(), 9000);
     }
 
     #[test]
     fn golden_plan_has_six_subcircuits() {
         let frags = fragments_for(5, 0);
-        let basis = BasisPlan::with_neglected(vec![Some(Pauli::Y)]);
-        let plan = ExperimentPlan::build(&frags, &basis);
-        assert_eq!(plan.num_subcircuits(), 6);
+        let plan = BasisPlan::with_neglected(vec![Some(Pauli::Y)]);
+        let sched = uniform(&plan, 1000);
+        let graph = gather_graph(&frags, &plan, ReconstructionMethod::Eigenstate, &sched);
+        assert_eq!(graph.num_nodes(), 6);
         // 4.5e5 -> 3.0e5 shots at 1000 shots/setting × 50 trials (paper
         // Fig. 5 accounting): per trial it is 9000 vs 6000.
-        assert_eq!(plan.total_shots(1000), 6000);
+        assert_eq!(sched.total(), 6000);
     }
 
     #[test]
     fn multi_cut_variant_counts() {
         let (c, spec) = MultiCutAnsatz::new(2, 1).build();
         let frags = Fragmenter::fragment(&c, &spec).unwrap();
-        let standard = ExperimentPlan::build(&frags, &BasisPlan::standard(2));
-        assert_eq!(standard.upstream.len(), 9);
-        assert_eq!(standard.downstream.len(), 36);
-        let golden = ExperimentPlan::build(
+        let standard = BasisPlan::standard(2);
+        assert_eq!(standard.all_meas_settings().len(), 9);
+        assert_eq!(standard.all_prep_settings().len(), 36);
+        let graph = gather_graph(
             &frags,
-            &BasisPlan::with_neglected(vec![Some(Pauli::Y), Some(Pauli::Y)]),
+            &standard,
+            ReconstructionMethod::Eigenstate,
+            &uniform(&standard, 100),
         );
-        assert_eq!(golden.upstream.len(), 4);
-        assert_eq!(golden.downstream.len(), 16);
+        assert_eq!(graph.num_nodes(), 9 + 36);
+        let golden = BasisPlan::with_neglected(vec![Some(Pauli::Y), Some(Pauli::Y)]);
+        assert_eq!(golden.all_meas_settings().len(), 4);
+        assert_eq!(golden.all_prep_settings().len(), 16);
+        let graph = gather_graph(
+            &frags,
+            &golden,
+            ReconstructionMethod::Eigenstate,
+            &uniform(&golden, 100),
+        );
+        assert_eq!(graph.num_nodes(), 4 + 16);
     }
 
     #[test]
     fn upstream_variants_differ_only_in_rotations() {
         let frags = fragments_for(5, 1);
-        let plan = ExperimentPlan::build(&frags, &BasisPlan::standard(1));
         let base_len = frags.upstream.circuit.len();
-        for v in &plan.upstream {
-            let extra = v.circuit.len() - base_len;
-            match v.setting[0] {
+        for setting in BasisPlan::standard(1).all_meas_settings() {
+            let circuit = build_upstream_circuit(&frags.upstream, &setting);
+            let extra = circuit.len() - base_len;
+            match setting[0] {
                 MeasBasis::Z => assert_eq!(extra, 0),
                 MeasBasis::X => assert_eq!(extra, 1), // H
                 MeasBasis::Y => assert_eq!(extra, 2), // Sdg, H
             }
             // The prefix is the fragment itself.
             assert_eq!(
-                &v.circuit.instructions()[..base_len],
+                &circuit.instructions()[..base_len],
                 frags.upstream.circuit.instructions()
             );
         }
@@ -202,22 +152,20 @@ mod tests {
         // For each variant, simulating just the prep prefix must put the
         // cut port into the declared state.
         let frags = fragments_for(5, 2);
-        let basis = BasisPlan::standard(1);
-        let plan = ExperimentPlan::build(&frags, &basis);
         let port = frags.downstream.cut_ports[0];
-        for v in &plan.downstream {
-            let prep_len = v.circuit.len() - frags.downstream.circuit.len();
-            let mut prefix = Circuit::new(v.circuit.num_qubits());
-            for inst in &v.circuit.instructions()[..prep_len] {
+        for preparation in BasisPlan::standard(1).all_prep_settings() {
+            let circuit = build_downstream_circuit(&frags.downstream, &preparation);
+            let prep_len = circuit.len() - frags.downstream.circuit.len();
+            let mut prefix = Circuit::new(circuit.num_qubits());
+            for inst in &circuit.instructions()[..prep_len] {
                 prefix.push(inst.gate.clone(), &inst.qubits);
             }
             let sv = StateVector::from_circuit(&prefix);
             let rho = sv.reduced_density_matrix(&[port]);
-            let want = v.preparation[0].density();
+            let want = preparation[0].density();
             assert!(
                 rho.approx_eq(&want, 1e-10),
-                "prep {:?} produced the wrong state",
-                v.preparation
+                "prep {preparation:?} produced the wrong state"
             );
         }
     }
@@ -225,12 +173,14 @@ mod tests {
     #[test]
     fn variants_keep_fragment_width() {
         let frags = fragments_for(7, 3);
-        let plan = ExperimentPlan::build(&frags, &BasisPlan::standard(1));
-        for v in &plan.upstream {
-            assert_eq!(v.circuit.num_qubits(), frags.upstream.width());
+        let plan = BasisPlan::standard(1);
+        for setting in plan.all_meas_settings() {
+            let circuit = build_upstream_circuit(&frags.upstream, &setting);
+            assert_eq!(circuit.num_qubits(), frags.upstream.width());
         }
-        for v in &plan.downstream {
-            assert_eq!(v.circuit.num_qubits(), frags.downstream.width());
+        for preparation in plan.all_prep_settings() {
+            let circuit = build_downstream_circuit(&frags.downstream, &preparation);
+            assert_eq!(circuit.num_qubits(), frags.downstream.width());
         }
     }
 
@@ -238,6 +188,12 @@ mod tests {
     #[should_panic(expected = "does not match fragments")]
     fn plan_arity_mismatch_panics() {
         let frags = fragments_for(5, 0);
-        ExperimentPlan::build(&frags, &BasisPlan::standard(2));
+        let plan = BasisPlan::standard(2);
+        gather_graph(
+            &frags,
+            &plan,
+            ReconstructionMethod::Eigenstate,
+            &uniform(&plan, 10),
+        );
     }
 }

@@ -384,14 +384,42 @@ pub fn empirical_variance(distributions: &[Distribution]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::ShotAllocation;
     use crate::execution::gather;
     use crate::fragment::Fragmenter;
+    use crate::pipeline::ReconstructionMethod;
     use crate::reconstruction::{exact_downstream_tensor, exact_upstream_tensor, reconstruct};
     use crate::retry::RetryPolicy;
-    use crate::tomography::ExperimentPlan;
     use qcut_circuit::ansatz::GoldenAnsatz;
     use qcut_device::ideal::IdealBackend;
     use qcut_math::Pauli;
+
+    /// A uniform eigenstate gather at `shots` per setting.
+    fn uniform_gather(
+        backend: &IdealBackend,
+        frags: &Fragments,
+        plan: &BasisPlan,
+        shots: u64,
+    ) -> FragmentData {
+        let method = ReconstructionMethod::Eigenstate;
+        let schedule = method
+            .schedule(
+                plan,
+                ShotAllocation::Uniform {
+                    shots_per_setting: shots,
+                },
+            )
+            .unwrap();
+        gather(
+            backend,
+            frags,
+            plan,
+            method,
+            &schedule,
+            &RetryPolicy::default(),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn variance_scales_inversely_with_shots() {
@@ -437,7 +465,6 @@ mod tests {
         let (circuit, spec) = GoldenAnsatz::new(5, 9).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
-        let experiment = ExperimentPlan::build(&frags, &plan);
         let shots = 2000u64;
 
         let trials = 24;
@@ -445,13 +472,7 @@ mod tests {
         let mut predicted_rms = 0.0;
         for t in 0..trials {
             let backend = IdealBackend::new(9000 + t as u64);
-            let data = gather(
-                &backend,
-                &experiment,
-                &experiment.uniform_schedule(shots),
-                &RetryPolicy::default(),
-            )
-            .unwrap();
+            let data = uniform_gather(&backend, &frags, &plan, shots);
             dists.push(reconstruct(&frags, &plan, &data));
             if t == 0 {
                 predicted_rms = reconstruction_variance(&frags, &plan, &data).rms_error();
@@ -477,16 +498,9 @@ mod tests {
         let (circuit, spec) = GoldenAnsatz::new(5, 13).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
-        let experiment = ExperimentPlan::build(&frags, &plan);
         let backend = IdealBackend::new(55);
         let shots = 1500u64;
-        let data = gather(
-            &backend,
-            &experiment,
-            &experiment.uniform_schedule(shots),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let data = uniform_gather(&backend, &frags, &plan, shots);
         let up = upstream_tensor(&frags.upstream, &plan, &data);
         let down = downstream_tensor(&frags.downstream, &plan, &data);
         let realized = reconstruction_variance(&frags, &plan, &data);
@@ -612,15 +626,8 @@ mod tests {
         let (circuit, spec) = GoldenAnsatz::new(5, 11).build();
         let frags = Fragmenter::fragment(&circuit, &spec).unwrap();
         let plan = BasisPlan::standard(1);
-        let experiment = ExperimentPlan::build(&frags, &plan);
         let backend = IdealBackend::new(77);
-        let data = gather(
-            &backend,
-            &experiment,
-            &experiment.uniform_schedule(1000),
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let data = uniform_gather(&backend, &frags, &plan, 1000);
         let err = reconstruction_variance(&frags, &plan, &data);
         assert_eq!(err.num_bits(), 5);
         assert!(err.variance(0) > 0.0);

@@ -13,7 +13,6 @@
 use qcut::cutting::basis::BasisPlan;
 use qcut::cutting::execution::gather;
 use qcut::cutting::reconstruction::reconstruct;
-use qcut::cutting::tomography::ExperimentPlan;
 use qcut::cutting::variance::{empirical_variance, reconstruction_variance};
 use qcut::prelude::*;
 
@@ -37,15 +36,25 @@ fn main() {
             BasisPlan::with_neglected(vec![Some(Pauli::Y)]),
         ),
     ] {
-        let experiment = ExperimentPlan::build(&frags, &plan);
+        let method = ReconstructionMethod::Eigenstate;
+        let schedule = method
+            .schedule(
+                &plan,
+                ShotAllocation::Uniform {
+                    shots_per_setting: shots,
+                },
+            )
+            .expect("uniform schedules are infallible");
         let mut dists = Vec::with_capacity(trials);
         let mut predicted = 0.0;
         for t in 0..trials {
             let backend = IdealBackend::new(5000 + t as u64);
             let data = gather(
                 &backend,
-                &experiment,
-                &experiment.uniform_schedule(shots),
+                &frags,
+                &plan,
+                method,
+                &schedule,
                 &RetryPolicy::default(),
             )
             .expect("gather");

@@ -10,36 +10,47 @@
 
 use proptest::prelude::*;
 use qcut::circuit::ansatz::MultiCutAnsatz;
-use qcut::cutting::allocation::{
-    schedule, schedule_for_plan, schedule_sic, AllocationError, ShotSchedule,
-};
+use qcut::cutting::allocation::{schedule_for_plan, schedule_sic, AllocationError, ShotSchedule};
 use qcut::cutting::basis::BasisPlan;
 use qcut::cutting::error::PipelineError;
-use qcut::cutting::execution::gather;
+use qcut::cutting::execution::{gather, FragmentData};
+use qcut::cutting::fragment::Fragments;
 use qcut::cutting::golden::OnlineConfig;
 use qcut::cutting::observable::{pauli_expectation, DiagonalObservable};
 use qcut::cutting::reconstruction::{exact_downstream_tensor, exact_upstream_tensor, reconstruct};
-use qcut::cutting::tomography::ExperimentPlan;
 use qcut::cutting::variance::variance_from_schedule;
 use qcut::prelude::*;
+
+/// An eigenstate gather of `basis` under `sched` on `backend`.
+fn eigen_gather(
+    backend: &IdealBackend,
+    frags: &Fragments,
+    basis: &BasisPlan,
+    sched: &ShotSchedule,
+) -> FragmentData {
+    gather(
+        backend,
+        frags,
+        basis,
+        ReconstructionMethod::Eigenstate,
+        sched,
+        &RetryPolicy::default(),
+    )
+    .unwrap()
+}
 
 #[test]
 fn weighted_allocation_reconstructs_correctly() {
     let (circuit, cut) = GoldenAnsatz::new(5, 101).build();
     let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
     let basis = BasisPlan::standard(1);
-    let experiment = ExperimentPlan::build(&frags, &basis);
     let backend = IdealBackend::new(41);
 
-    let sched = schedule(
-        &basis,
-        &experiment,
-        ShotAllocation::WeightedByUsage { total: 120_000 },
-    )
-    .unwrap();
+    let sched =
+        schedule_for_plan(&basis, ShotAllocation::WeightedByUsage { total: 120_000 }).unwrap();
     assert!(sched.min_shots() > 0);
     assert_eq!(sched.total(), 120_000);
-    let data = gather(&backend, &experiment, &sched, &RetryPolicy::default()).unwrap();
+    let data = eigen_gather(&backend, &frags, &basis, &sched);
     assert_eq!(data.total_shots, sched.total());
 
     let recon = reconstruct(&frags, &basis, &data).clip_renormalize();
@@ -56,7 +67,6 @@ fn equal_budget_uniform_vs_weighted_accuracy() {
     let (circuit, cut) = GoldenAnsatz::new(5, 103).build();
     let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
     let basis = BasisPlan::standard(1);
-    let experiment = ExperimentPlan::build(&frags, &basis);
     let truth = Distribution::from_values(5, StateVector::from_circuit(&circuit).probabilities());
     let total = 90_000;
     for alloc in [
@@ -64,9 +74,9 @@ fn equal_budget_uniform_vs_weighted_accuracy() {
         ShotAllocation::WeightedByUsage { total },
     ] {
         let backend = IdealBackend::new(43);
-        let sched = schedule(&basis, &experiment, alloc).unwrap();
+        let sched = schedule_for_plan(&basis, alloc).unwrap();
         assert_eq!(sched.total(), total, "{alloc:?} must spend exactly");
-        let data = gather(&backend, &experiment, &sched, &RetryPolicy::default()).unwrap();
+        let data = eigen_gather(&backend, &frags, &basis, &sched);
         let recon = reconstruct(&frags, &basis, &data).clip_renormalize();
         let d = total_variation_distance(&recon, &truth);
         assert!(d < 0.05, "{alloc:?}: off by {d}");
@@ -419,20 +429,19 @@ proptest! {
         let (circuit, cut) = GoldenAnsatz::new(5, seed).build();
         let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
         let basis = BasisPlan::standard(1);
-        let experiment = ExperimentPlan::build(&frags, &basis);
         let sched = ShotSchedule {
             upstream: shots[..3].to_vec(),
             downstream: shots[3..].to_vec(),
         };
         let backend = IdealBackend::new(seed);
-        let data = gather(&backend, &experiment, &sched, &RetryPolicy::default()).unwrap();
+        let data = eigen_gather(&backend, &frags, &basis, &sched);
         prop_assert_eq!(data.total_shots, sched.total());
-        for (i, v) in experiment.upstream.iter().enumerate() {
-            let key = qcut::cutting::basis::encode_meas(&v.setting);
+        for (i, setting) in basis.all_meas_settings().iter().enumerate() {
+            let key = qcut::cutting::basis::encode_meas(setting);
             prop_assert_eq!(data.shots_for_meas(key), sched.upstream[i]);
         }
-        for (i, v) in experiment.downstream.iter().enumerate() {
-            let key = qcut::cutting::basis::encode_prep(&v.preparation);
+        for (i, preparation) in basis.all_prep_settings().iter().enumerate() {
+            let key = qcut::cutting::basis::encode_prep(preparation);
             prop_assert_eq!(data.shots_for_prep(key), sched.downstream[i]);
         }
     }
@@ -676,13 +685,13 @@ fn adaptive_starved_pilot_is_denied_statically() {
 fn seeded_refine_round_delivers_the_merge_of_both_passes() {
     use qcut::cutting::allocation::{pilot_schedule, refine_schedule};
     use qcut::cutting::basis::{encode_meas, encode_prep};
-    use qcut::cutting::execution::FragmentData;
     use qcut::cutting::jobgraph::{Channel, JobGraph};
+    use qcut::cutting::planner::{add_downstream_jobs, add_upstream_jobs};
+    use qcut::cutting::tomography::{build_downstream_circuit, build_upstream_circuit};
 
     let (circuit, cut) = GoldenAnsatz::new(5, 313).build();
     let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
     let basis = BasisPlan::standard(1);
-    let experiment = ExperimentPlan::build(&frags, &basis);
 
     let pilot_sched = pilot_schedule(3, 6, 1800).unwrap();
     let scores_up = [3.0, 1.0, 2.0];
@@ -705,35 +714,29 @@ fn seeded_refine_round_delivers_the_merge_of_both_passes() {
 
     // Two independent single-round gathers …
     let backend = IdealBackend::new(131);
-    let mut merged = gather(&backend, &experiment, &pilot_sched, &RetryPolicy::default()).unwrap();
-    let fresh = gather(&backend, &experiment, &increments, &RetryPolicy::default()).unwrap();
+    let mut merged = eigen_gather(&backend, &frags, &basis, &pilot_sched);
+    let fresh = eigen_gather(&backend, &frags, &basis, &increments);
     merged.merge(&fresh);
 
     // … versus a pilot + seeded engine round requesting the cumulative
     // targets, on a fresh same-seed backend so both arms draw identical
     // per-job RNG streams (sub-seeds advance with every executed job).
     let backend = IdealBackend::new(131);
-    let pilot = gather(&backend, &experiment, &pilot_sched, &RetryPolicy::default()).unwrap();
+    let pilot = eigen_gather(&backend, &frags, &basis, &pilot_sched);
     let mut graph = JobGraph::new();
-    for (i, v) in experiment.upstream.iter().enumerate() {
-        graph.add_job(
-            v.circuit.clone(),
-            (Channel::UpstreamMeas, encode_meas(&v.setting)),
-            cumulative.upstream[i],
+    add_upstream_jobs(&mut graph, &frags, &basis, &cumulative.upstream);
+    add_downstream_jobs(&mut graph, &frags, &basis, &cumulative.downstream);
+    for setting in basis.all_meas_settings() {
+        graph.seed_counts(
+            &build_upstream_circuit(&frags.upstream, &setting),
+            &pilot.upstream[&encode_meas(&setting)],
         );
     }
-    for (i, v) in experiment.downstream.iter().enumerate() {
-        graph.add_job(
-            v.circuit.clone(),
-            (Channel::DownstreamPrep, encode_prep(&v.preparation)),
-            cumulative.downstream[i],
+    for preparation in basis.all_prep_settings() {
+        graph.seed_counts(
+            &build_downstream_circuit(&frags.downstream, &preparation),
+            &pilot.downstream[&encode_prep(&preparation)],
         );
-    }
-    for v in &experiment.upstream {
-        graph.seed_counts(&v.circuit, &pilot.upstream[&encode_meas(&v.setting)]);
-    }
-    for v in &experiment.downstream {
-        graph.seed_counts(&v.circuit, &pilot.downstream[&encode_prep(&v.preparation)]);
     }
     let mut run = graph.execute(&backend, &RetryPolicy::default()).unwrap();
     assert_eq!(run.stats.shots_executed, increments.total());

@@ -186,3 +186,34 @@ fn report_accounting_is_consistent() {
     let per_job = r.simulated_device_seconds / r.subcircuits_executed as f64;
     assert!(per_job > 1.85 && per_job < 2.6, "per-job time {per_job}");
 }
+
+/// Two-cut reconstructions are reproducible: the same pipeline on equally
+/// seeded backends gives bit-identical distributions. (A `b1` of the
+/// upstream tensor sums up to `2^K` signed terms, so the summation order
+/// must not depend on a hash map's per-instance iteration order.)
+#[test]
+fn multi_cut_runs_are_bit_reproducible() {
+    use qcut::circuit::ansatz::MultiCutAnsatz;
+    let (circuit, cut) = MultiCutAnsatz::new(2, 5).build();
+    let run = || {
+        let backend = IdealBackend::new(7);
+        let values = CutExecutor::new(&backend)
+            .run(
+                &circuit,
+                &cut,
+                GoldenPolicy::Disabled,
+                &ExecutionOptions::default(),
+            )
+            .unwrap()
+            .distribution
+            .values()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<u64>>();
+        values
+    };
+    let first = run();
+    for attempt in 1..5 {
+        assert_eq!(run(), first, "run {attempt} differs from run 0");
+    }
+}

@@ -5,11 +5,15 @@
 #[path = "support/sequential.rs"]
 mod sequential;
 
+use qcut::cutting::basis::BasisPlan;
 use qcut::cutting::golden::OnlineConfig;
 use qcut::cutting::jobgraph::{Channel, JobGraph};
 use qcut::cutting::pipeline::{CutRun, PostProcess};
+use qcut::device::backend::{BackendError, BatchRun, ExecutionResult, JobResult, JobSpec};
+use qcut::device::timing::TimingModel;
 use qcut::prelude::*;
 use sequential::Sequential;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn options(shots: u64) -> ExecutionOptions {
     ExecutionOptions {
@@ -218,5 +222,128 @@ fn run_report_dedup_fields_are_consistent_across_policies() {
         assert_eq!(r.shots_saved, 0);
         assert_eq!(r.jobs_planned, r.subcircuits_executed);
         assert!(r.dedup_ratio().abs() < f64::EPSILON);
+    }
+}
+
+/// Counts the jobs a backend is handed, delegating everything else.
+struct Counting<B> {
+    inner: B,
+    jobs: AtomicUsize,
+}
+
+impl<B: Backend> Counting<B> {
+    fn new(inner: B) -> Self {
+        Counting {
+            inner,
+            jobs: AtomicUsize::new(0),
+        }
+    }
+
+    fn jobs(&self) -> usize {
+        self.jobs.load(Ordering::Relaxed)
+    }
+}
+
+impl<B: Backend> Backend for Counting<B> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn num_qubits(&self) -> usize {
+        self.inner.num_qubits()
+    }
+
+    fn timing(&self) -> &TimingModel {
+        self.inner.timing()
+    }
+
+    fn run(&self, circuit: &Circuit, shots: u64) -> Result<ExecutionResult, BackendError> {
+        self.jobs.fetch_add(1, Ordering::Relaxed);
+        self.inner.run(circuit, shots)
+    }
+
+    fn run_batch(&self, jobs: &[JobSpec<'_>]) -> Vec<JobResult> {
+        self.run_batch_stats(jobs).results
+    }
+
+    fn run_batch_stats(&self, jobs: &[JobSpec<'_>]) -> BatchRun {
+        self.jobs.fetch_add(jobs.len(), Ordering::Relaxed);
+        self.inner.run_batch_stats(jobs)
+    }
+
+    fn cache_fingerprint(&self) -> u64 {
+        self.inner.cache_fingerprint()
+    }
+
+    fn deterministic_seeding(&self) -> bool {
+        self.inner.deterministic_seeding()
+    }
+}
+
+fn bits(d: &Distribution) -> Vec<u64> {
+    d.values().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A plain `execution::gather` plans the same graph, in the same job
+/// order, as the pipeline: on equally seeded backends, contracting its data
+/// is bit-identical to `CutExecutor::run` and both execute the same jobs —
+/// for both preparation schemes, one and two cuts, and the standard and
+/// all-Y-golden plans.
+#[test]
+fn plain_gather_is_bit_identical_to_the_pipeline() {
+    use qcut::circuit::ansatz::MultiCutAnsatz;
+    use qcut::cutting::execution::gather;
+    use qcut::cutting::reconstruction::{contract, upstream_tensor};
+
+    for k in 1..=2usize {
+        let (circuit, cut) = if k == 1 {
+            GoldenAnsatz::new(5, 21).build()
+        } else {
+            MultiCutAnsatz::new(2, 5).build()
+        };
+        let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
+        for golden in [false, true] {
+            let (plan, policy) = if golden {
+                (
+                    BasisPlan::with_neglected(vec![Some(Pauli::Y); k]),
+                    GoldenPolicy::KnownAPriori((0..k).map(|c| (c, Pauli::Y)).collect()),
+                )
+            } else {
+                (BasisPlan::standard(k), GoldenPolicy::Disabled)
+            };
+            for method in [ReconstructionMethod::Eigenstate, ReconstructionMethod::Sic] {
+                let case = format!("K={k} golden={golden} {method:?}");
+                let options = ExecutionOptions {
+                    shots_per_setting: 1000,
+                    method,
+                    postprocess: PostProcess::Raw,
+                    ..Default::default()
+                };
+                let schedule = method
+                    .schedule(&plan, options.resolved_allocation())
+                    .unwrap();
+                let plain = Counting::new(IdealBackend::new(17));
+                let data = gather(
+                    &plain,
+                    &frags,
+                    &plan,
+                    method,
+                    &schedule,
+                    &RetryPolicy::default(),
+                )
+                .unwrap();
+                let up = upstream_tensor(&frags.upstream, &plan, &data);
+                let down = method.downstream_tensor(&frags.downstream, &plan, &data);
+                let direct = contract(&frags, &plan, &up, &down);
+
+                let piped = Counting::new(IdealBackend::new(17));
+                let run = CutExecutor::new(&piped)
+                    .run(&circuit, &cut, policy.clone(), &options)
+                    .unwrap();
+                assert_eq!(bits(&direct), bits(&run.distribution), "{case}");
+                assert_eq!(plain.jobs(), piped.jobs(), "{case}");
+                assert_eq!(run.report.jobs_executed, piped.jobs(), "{case}");
+            }
+        }
     }
 }

@@ -191,9 +191,10 @@ proptest! {
         let (circuit, cut) = GoldenAnsatz::new(5, seed).build();
         let frags = Fragmenter::fragment(&circuit, &cut).unwrap();
         let plan = BasisPlan::standard(1);
-        let experiment = qcut::cutting::tomography::ExperimentPlan::build(&frags, &plan);
+        let method = ReconstructionMethod::Eigenstate;
+        let sched = method.schedule(&plan, ShotAllocation::Uniform { shots_per_setting: 256 }).unwrap();
         let backend = IdealBackend::new(seed);
-        let data = qcut::cutting::execution::gather(&backend, &experiment, &experiment.uniform_schedule(256), &RetryPolicy::default()).unwrap();
+        let data = qcut::cutting::execution::gather(&backend, &frags, &plan, method, &sched, &RetryPolicy::default()).unwrap();
         let recon = qcut::cutting::reconstruction::reconstruct(&frags, &plan, &data);
         prop_assert!(
             (recon.total_mass() - 1.0).abs() < 1e-9,

@@ -11,12 +11,13 @@
 //! sources (`crates/*/src`, the facade `src`, and `xtask/src` itself; the
 //! vendored stubs under `vendor/` are exempt). It denies
 //!
-//! * `.unwrap()`, `panic!(`, `dbg!(`, `todo!(`, and `unimplemented!(`
-//!   outside `#[cfg(test)]` code — library paths must return typed errors
-//!   or `expect` an invariant, and no placeholder may ship; the justified
-//!   remainder is pinned, with an exact count, in `xtask/lint-allow.txt`
-//!   (a ratchet: new sites fail, and removing a site without updating the
-//!   allowlist fails too, so the list can only shrink deliberately);
+//! * `.unwrap()`, `.expect(`, `panic!(`, `unreachable!(`, `dbg!(`,
+//!   `todo!(`, and `unimplemented!(` outside `#[cfg(test)]` code —
+//!   library paths must return typed errors, and no placeholder may ship;
+//!   the justified invariant panics that remain are pinned, with an exact
+//!   count per file, in `xtask/lint-allow.txt` (a ratchet: new sites
+//!   fail, and removing a site without updating the allowlist fails too,
+//!   so the list can only shrink deliberately);
 //! * crate roots missing `#![forbid(unsafe_code)]`.
 //!
 //! Doc comments, line comments, and string-literal contents are masked
@@ -32,7 +33,15 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Tokens denied in non-test library code.
-const FORBIDDEN: [&str; 5] = [".unwrap()", "panic!(", "dbg!(", "todo!(", "unimplemented!("];
+const FORBIDDEN: [&str; 7] = [
+    ".unwrap()",
+    ".expect(",
+    "panic!(",
+    "unreachable!(",
+    "dbg!(",
+    "todo!(",
+    "unimplemented!(",
+];
 
 /// The attribute every crate root must carry.
 const FORBID_UNSAFE: &str = "#![forbid(unsafe_code)]";
@@ -106,8 +115,8 @@ fn lint() -> ExitCode {
         if lines.len() > allowed {
             problems.push(format!(
                 "{file}: {} `{token}` in non-test code (lines {lines:?}), {allowed} allowed; \
-                 return a typed error or `expect` an invariant, or add the site to \
-                 xtask/lint-allow.txt with a justification",
+                 return a typed error, or add the site to xtask/lint-allow.txt with a \
+                 justification",
                 lines.len(),
             ));
         } else if lines.len() < allowed {
@@ -442,6 +451,19 @@ mod tests {
         // `unimplemented!(` token.
         let hits = scan_source(src);
         assert_eq!(hits, vec![(2, "todo!("), (5, "unimplemented!(")]);
+    }
+
+    #[test]
+    fn finds_expect_and_unreachable() {
+        let src = "fn f() {\n    let x = y.expect(\"set\");\n    unreachable!(\"no\")\n}\n";
+        assert_eq!(
+            scan_source(src),
+            vec![(2, ".expect("), (3, "unreachable!(")]
+        );
+        // `expect_err` is not `.expect(`, while a bare `unreachable!()`
+        // still starts with the `unreachable!(` token.
+        let src = "let e = r.expect_err(\"x\");\nlet n = unreachable!();\n";
+        assert_eq!(scan_source(src), vec![(2, "unreachable!(")]);
     }
 
     #[test]
